@@ -34,7 +34,6 @@ from .equilibrium import (
     StrategyTree,
     enumerate_strategy_trees,
     expected_utilities,
-    receding_horizon_policy,
     solve_bne,
 )
 from .model import (
@@ -97,7 +96,6 @@ __all__ = [
     "load_scenario",
     "random_walk_belief",
     "read_trajectory",
-    "receding_horizon_policy",
     "run_batch",
     "run_episode",
     "sample_transition",

@@ -14,6 +14,13 @@ both hypothesized types, path-probability-weighted utilities further weighted
 by the belief trajectory, where the belief starts at the supplied value and is
 propagated by Bayes' rule under the candidate profile itself.
 
+The solver gets these values for all joint profiles at once from the
+vectorised path in ``_value_matrices``: per state path it walks every
+(benign, malicious, reaction) label sequence in one numpy grid and gathers
+each branch's sequence terms. ``expected_utilities`` values a single profile
+with a separate scalar walk and serves as the independent oracle; both add
+the same terms in the same order, so they agree bit for bit.
+
 Tie-breaking is lexicographic in enumeration order: trees are enumerated by
 assigning labels (in alphabet order) to nodes ordered by depth then state
 order, and joint profiles are scanned as (benign tree, malicious tree,
@@ -100,21 +107,9 @@ def enumerate_strategy_trees(
 ) -> tuple[dict[str, list[dict[tuple[str, ...], str]]], list[dict[tuple[str, ...], str]]]:
     """Exhaustive, duplicate-free tree sets: one list of sender branches per
     type and the list of receiver branches."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    total = joint_profile_count(alphabets, horizon)
-    if total > JOINT_PROFILE_LIMIT:
-        raise EnumerationLimitError(
-            f"{total} joint profiles exceed the exhaustive-scan limit of {JOINT_PROFILE_LIMIT}"
-        )
-    nodes = window_nodes(alphabets.states, horizon)
-    sender = [
-        dict(zip(nodes, combo)) for combo in itertools.product(alphabets.actions, repeat=len(nodes))
-    ]
-    receiver = [
-        dict(zip(nodes, combo))
-        for combo in itertools.product(alphabets.reactions, repeat=len(nodes))
-    ]
+    enum = _Enumeration(alphabets, horizon)
+    sender = [enum.tree(branch, alphabets.actions) for branch in enum.sender_branches]
+    receiver = [enum.tree(branch, alphabets.reactions) for branch in enum.receiver_branches]
     return {BENIGN: sender, MALICIOUS: list(sender)}, receiver
 
 
@@ -145,10 +140,17 @@ class _Tables:
         self.US_m = util(scenario.utilities.sender, MALICIOUS)
         self.UR_b = util(scenario.utilities.receiver, BENIGN)
         self.UR_m = util(scenario.utilities.receiver, MALICIOUS)
+        # The same floats as arrays, for the vectorised value path.
+        self.arrays = tuple(
+            np.array(t, dtype=float) for t in (self.P, self.US_b, self.US_m, self.UR_b, self.UR_m)
+        )
 
 
 def _path_terms(tab, x0, pi, path, seq_b, seq_m, seq_r):
     """Contribution of one state path under one action/reaction assignment.
+
+    This scalar walk is the body of the ``expected_utilities`` oracle;
+    ``_path_term_grids`` repeats it on whole sequence grids for the solver.
 
     Returns (w_b, mean_u_b, w_m, mean_u_m, receiver_term): the path weight and
     average sender utility per type, and the already-weighted receiver term.
@@ -229,7 +231,13 @@ def expected_utilities(
 
 
 class _Enumeration:
-    """Index-form tree sets plus per-path projections, reusable across solves."""
+    """Index-form tree sets plus per-path projections, reusable across solves.
+
+    Label sequences of length ``horizon`` are numbered in
+    ``itertools.product`` order. For every state path, ``path_sequences``
+    holds the number of the sequence each sender branch and each receiver
+    branch plays along that path.
+    """
 
     def __init__(self, alphabets: Alphabets, horizon: int):
         if horizon < 1:
@@ -241,84 +249,111 @@ class _Enumeration:
             )
         self.alphabets = alphabets
         self.horizon = horizon
-        ns = len(alphabets.states)
+        ns, na, nr = len(alphabets.states), len(alphabets.actions), len(alphabets.reactions)
         self.nodes = window_nodes(range(ns), horizon)
+        self.label_nodes = [tuple(alphabets.states[i] for i in node) for node in self.nodes]
         node_pos = {node: i for i, node in enumerate(self.nodes)}
         n_nodes = len(self.nodes)
-        self.sender_branches = list(itertools.product(range(len(alphabets.actions)), repeat=n_nodes))
-        self.receiver_branches = list(
-            itertools.product(range(len(alphabets.reactions)), repeat=n_nodes)
-        )
+        self.sender_branches = list(itertools.product(range(na), repeat=n_nodes))
+        self.receiver_branches = list(itertools.product(range(nr), repeat=n_nodes))
         self.paths = list(itertools.product(range(ns), repeat=horizon - 1))
-        path_node_pos = [
-            tuple(node_pos[path[:i]] for i in range(horizon)) for path in self.paths
-        ]
-        self.sender_seqs = [
-            [tuple(branch[p] for p in positions) for positions in path_node_pos]
-            for branch in self.sender_branches
-        ]
-        self.receiver_seqs = [
-            [tuple(branch[p] for p in positions) for positions in path_node_pos]
-            for branch in self.receiver_branches
+
+        def digits(n_labels):
+            return np.array(list(itertools.product(range(n_labels), repeat=horizon)))
+
+        # step i's label in every sequence, shaped to broadcast over the
+        # (benign sequence, malicious sequence, reaction sequence) grid
+        steps_a, steps_r = digits(na), digits(nr)
+        self.grid_steps = [
+            (steps_a[:, i, None, None], steps_a[None, :, i, None], steps_r[None, None, :, i])
+            for i in range(horizon)
         ]
 
+        path_pos = np.array([[node_pos[path[:i]] for i in range(horizon)] for path in self.paths])
+
+        def sequences(branches, n_labels):
+            place = n_labels ** np.arange(horizon - 1, -1, -1)
+            return np.array(branches)[:, path_pos] @ place
+
+        seq_s = sequences(self.sender_branches, na)
+        seq_r = sequences(self.receiver_branches, nr)
+        self.path_sequences = [(seq_s[:, p], seq_r[:, p]) for p in range(len(self.paths))]
+
+    def tree(self, branch, labels) -> dict[tuple[str, ...], str]:
+        """Label-form node -> label map of one index branch."""
+        return {n: labels[i] for n, i in zip(self.label_nodes, branch)}
+
     def profile(self, ib: int, im: int, ir: int) -> StrategyTree:
-        al = self.alphabets
-        label_nodes = [tuple(al.states[i] for i in node) for node in self.nodes]
-        branch_b = self.sender_branches[ib]
-        branch_m = self.sender_branches[im]
-        branch_r = self.receiver_branches[ir]
+        actions = self.alphabets.actions
         return StrategyTree(
             depth=self.horizon,
             sender={
-                BENIGN: {n: al.actions[a] for n, a in zip(label_nodes, branch_b)},
-                MALICIOUS: {n: al.actions[a] for n, a in zip(label_nodes, branch_m)},
+                BENIGN: self.tree(self.sender_branches[ib], actions),
+                MALICIOUS: self.tree(self.sender_branches[im], actions),
             },
-            receiver={n: al.reactions[r] for n, r in zip(label_nodes, branch_r)},
+            receiver=self.tree(self.receiver_branches[ir], self.alphabets.reactions),
         )
+
+
+def _path_term_grids(tab, enum, x0, pi, path):
+    """Vectorised twin of ``_path_terms`` over every sequence triple.
+
+    Repeats the scalar walk op for op, in the same order, on grids indexed by
+    (benign sequence, malicious sequence, reaction sequence). Returns the
+    benign term w_b * mean_u_b over (benign, reaction) sequences, the
+    malicious term over (malicious, reaction) sequences and the receiver term
+    over the full grid. The scalar walk's early return on a vanishing path
+    becomes the ``dead`` mask on the receiver term; the sender terms there
+    are already zero, since both weights are.
+    """
+    P, US_b, US_m, UR_b, UR_m = tab.arrays
+    T = tab.horizon
+    w_b = w_m = 1.0
+    beta = pi
+    u_b = u_m = 0.0
+    r_b_sum = r_m_sum = 0.0
+    x = x0
+    for i, (a_b, a_m, r) in enumerate(enum.grid_steps):
+        u_b = u_b + US_b[x, a_b, r]
+        u_m = u_m + US_m[x, a_m, r]
+        r_b_sum = r_b_sum + UR_b[x, a_b, r] * (1.0 - beta)
+        r_m_sum = r_m_sum + UR_m[x, a_m, r] * beta
+        if i + 1 < T:
+            nxt = path[i]
+            p_b = P[x, a_b, r, nxt]
+            p_m = P[x, a_m, r, nxt]
+            w_b = w_b * p_b
+            w_m = w_m * p_m
+            with np.errstate(all="ignore"):
+                denom = p_b * (1.0 - beta) + p_m * beta
+                step = (p_b != p_m) & (0.0 < beta) & (beta < 1.0) & (denom > MIN_MIXTURE)
+                beta = np.where(step, p_m * beta / denom, beta)
+            x = nxt
+    dead = (w_b == 0.0) & (w_m == 0.0)
+    t_r = np.where(dead, 0.0, (w_b * r_b_sum + w_m * r_m_sum) / T)
+    return (w_b * (u_b / T))[:, 0, :], (w_m * (u_m / T))[0], t_r
 
 
 def _value_matrices(tab, enum, pi, x0):
     """Fill the sender value matrices and the receiver value tensor.
 
-    Contributions are cached by the action/reaction sequences actually met
-    along each path, which many trees share, so the heavy path walks shrink
-    from (trees)^3 to (labels per path)^3.
+    Per state path, one vectorised walk yields the terms of every sequence
+    triple, and each branch gathers the terms of the sequences it plays
+    along that path, one axis at a time so that only the last gather is as
+    large as the receiver tensor. Paths are added in enumeration order from
+    zero, as ``expected_utilities`` adds them, so every entry equals that
+    scalar oracle's value for the same profile bit for bit.
     """
     nb = len(enum.sender_branches)
     nr = len(enum.receiver_branches)
-    n_paths = len(enum.paths)
-    V_b = np.empty((nb, nr))
-    V_m = np.empty((nb, nr))
-    V_r = np.empty((nb, nb, nr))
-    cache: dict = {}
-    paths = enum.paths
-    sender_seqs = enum.sender_seqs
-    receiver_seqs = enum.receiver_seqs
-    for ib in range(nb):
-        seqs_b = sender_seqs[ib]
-        for im in range(nb):
-            seqs_m = sender_seqs[im]
-            for ir in range(nr):
-                seqs_r = receiver_seqs[ir]
-                v_b = v_m = v_r = 0.0
-                for ipath in range(n_paths):
-                    key = (ipath, seqs_b[ipath], seqs_m[ipath], seqs_r[ipath])
-                    terms = cache.get(key)
-                    if terms is None:
-                        terms = _path_terms(
-                            tab, x0, pi, paths[ipath], key[1], key[2], key[3]
-                        )
-                        cache[key] = terms
-                    w_b, mean_b, w_m, mean_m, recv = terms
-                    v_b += w_b * mean_b
-                    v_m += w_m * mean_m
-                    v_r += recv
-                V_r[ib, im, ir] = v_r
-                if im == 0:
-                    V_b[ib, ir] = v_b
-                if ib == 0:
-                    V_m[im, ir] = v_m
+    V_b = np.zeros((nb, nr))
+    V_m = np.zeros((nb, nr))
+    V_r = np.zeros((nb, nb, nr))
+    for path, (seq_s, seq_r) in zip(enum.paths, enum.path_sequences):
+        t_b, t_m, t_r = _path_term_grids(tab, enum, x0, pi, path)
+        V_b += t_b.take(seq_s, 0).take(seq_r, 1)
+        V_m += t_m.take(seq_s, 0).take(seq_r, 1)
+        V_r += t_r.take(seq_s, 0).take(seq_s, 1).take(seq_r, 2)
     return V_b, V_m, V_r
 
 
@@ -424,7 +459,3 @@ class RecedingHorizonPolicy:
             self._cache[key] = roots
         return roots
 
-
-def receding_horizon_policy(scenario: Scenario, resolve_missing: bool = True) -> RecedingHorizonPolicy:
-    """Build the receding-horizon decision function for a scenario."""
-    return RecedingHorizonPolicy(scenario, resolve_missing=resolve_missing)

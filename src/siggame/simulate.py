@@ -135,15 +135,20 @@ def run_episode(
     return traj
 
 
-def _episode_task(
-    args: tuple[Scenario, int, int, bool]
-) -> tuple[int, Trajectory | None, str | None]:
-    scenario, index, seed, resolve_missing = args
-    try:
-        policy = RecedingHorizonPolicy(scenario, resolve_missing=resolve_missing)
-        return index, run_episode(scenario, seed, policy), None
-    except Exception as err:  # recorded, not fatal to the batch
-        return index, None, str(err)
+def _run_chunk(
+    args: tuple[Scenario, int, list[int], bool]
+) -> list[tuple[int, Trajectory | None, str | None]]:
+    """Run consecutive episodes, numbered from ``start``, with one shared
+    policy; each failure is recorded against its episode index."""
+    scenario, start, seeds, resolve_missing = args
+    policy = RecedingHorizonPolicy(scenario, resolve_missing=resolve_missing)
+    out: list[tuple[int, Trajectory | None, str | None]] = []
+    for index, seed in enumerate(seeds, start):
+        try:
+            out.append((index, run_episode(scenario, seed, policy), None))
+        except Exception as err:  # recorded, not fatal to the batch
+            out.append((index, None, str(err)))
+    return out
 
 
 def run_batch(
@@ -159,8 +164,10 @@ def run_batch(
     """Run ``n_episodes`` independent episodes and aggregate diagnostics.
 
     Episode i uses derive_episode_seed(base_seed, i). With ``workers`` > 1
-    the episodes run in separate processes; trajectories are reassembled in
-    episode order, so the summary is identical at any parallelism degree.
+    the episodes are split into that many contiguous chunks, each run in a
+    separate process with one policy shared across the chunk; trajectories
+    are reassembled in episode order, so the summary is identical at any
+    parallelism degree.
     Per-episode failures are recorded in the summary instead of aborting;
     with ``resolve_missing=False`` the policy propagates equilibrium
     non-existence, which is the usual source of such failures.
@@ -171,20 +178,20 @@ def run_batch(
     results: list[Trajectory | None] = [None] * n_episodes
     errors: list[tuple[int, str]] = []
     if workers > 1:
-        tasks = [(scenario, i, seed, resolve_missing) for i, seed in enumerate(seeds)]
+        bounds = [n_episodes * k // workers for k in range(workers + 1)]
+        tasks = [
+            (scenario, lo, seeds[lo:hi], resolve_missing)
+            for lo, hi in zip(bounds, bounds[1:])
+            if lo < hi
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, traj, err in pool.map(_episode_task, tasks):
-                results[index] = traj
-                if err is not None:
-                    errors.append((index, err))
+            outcomes = [item for chunk in pool.map(_run_chunk, tasks) for item in chunk]
     else:
-        policy = RecedingHorizonPolicy(scenario, resolve_missing=resolve_missing)
-        for i, seed in enumerate(seeds):
-            try:
-                results[i] = run_episode(scenario, seed, policy)
-            except Exception as err:  # recorded, not fatal to the batch
-                errors.append((i, str(err)))
-    errors.sort()
+        outcomes = _run_chunk((scenario, 0, seeds, resolve_missing))
+    for index, traj, err in outcomes:
+        results[index] = traj
+        if err is not None:
+            errors.append((index, err))
     terminal: list[float | None] = []
     limits: list[float | None] = []
     oscillations: list[float | None] = []

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siggame.beliefs import BeliefState
 from siggame.equilibrium import (
@@ -9,12 +12,23 @@ from siggame.equilibrium import (
     NoPureEquilibriumError,
     RecedingHorizonPolicy,
     StrategyTree,
+    _Enumeration,
+    _Tables,
+    _value_matrices,
     enumerate_strategy_trees,
     expected_utilities,
     joint_profile_count,
     solve_bne,
 )
-from siggame.model import BENIGN, MALICIOUS, Alphabets
+from siggame.model import (
+    BENIGN,
+    MALICIOUS,
+    TYPES,
+    Alphabets,
+    Scenario,
+    TransitionKernel,
+    UtilityTables,
+)
 
 
 def one_step_profile(action_b, action_m, reaction):
@@ -243,6 +257,93 @@ def _assert_mutual_best_response(scenario, result, pi, state):
     for branch in receiver_trees:
         alt = StrategyTree(depth=profile.depth, sender=profile.sender, receiver=branch)
         assert expected_utilities(scenario, alt, belief, state)[2] <= v_r + 1e-12
+
+
+def _labelled_alphabets(n_states, n_actions, n_reactions):
+    return Alphabets(
+        states=tuple(f"x{i}" for i in range(n_states)),
+        actions=tuple(f"a{i}" for i in range(n_actions)),
+        reactions=tuple(f"r{i}" for i in range(n_reactions)),
+    )
+
+
+# (states, actions, reactions) label counts per horizon, 2-3 labels each,
+# kept to windows of at most 2**21 joint profiles
+_SHAPES = {
+    horizon: [
+        shape
+        for shape in itertools.product((2, 3), repeat=3)
+        if joint_profile_count(_labelled_alphabets(*shape), horizon) <= 2**21
+    ]
+    for horizon in (1, 2, 3)
+}
+
+
+@st.composite
+def random_windows(draw):
+    """A random scenario with a (belief, state) point to solve it at.
+
+    Kernel rows come from small integer weights, so zero probabilities
+    (vanishing paths) and equal likelihoods under both actions are common.
+    """
+    horizon = draw(st.sampled_from(sorted(_SHAPES)))
+    al = _labelled_alphabets(*draw(st.sampled_from(_SHAPES[horizon])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = {}
+    for key in itertools.product(al.states, al.actions, al.reactions):
+        weights = rng.integers(0, 3, size=len(al.states)).astype(float)
+        if weights.sum() == 0.0:
+            weights[rng.integers(len(weights))] = 1.0
+        table[key] = tuple(weights / weights.sum())
+    keys = list(itertools.product(TYPES, al.states, al.actions, al.reactions))
+    utilities = UtilityTables(
+        sender={k: float(rng.uniform(-5, 5)) for k in keys},
+        receiver={k: float(rng.uniform(-5, 5)) for k in keys},
+    )
+    scenario = Scenario(
+        alphabets=al,
+        kernel=TransitionKernel(alphabets=al, table=table),
+        utilities=utilities,
+        initial_state=al.states[0],
+        prior=0.5,
+        true_type=MALICIOUS,
+        horizon=horizon,
+    )
+    pi = draw(st.one_of(st.sampled_from([0.0, 1.0, 1e-300]), st.floats(0.0, 1.0)))
+    state = draw(st.sampled_from(al.states))
+    return scenario, pi, state, rng
+
+
+class TestValueMatricesAgainstOracle:
+    """The solver's vectorised value path against ``expected_utilities``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_windows())
+    def test_entries_equal_oracle(self, window):
+        scenario, pi, state, rng = window
+        al = scenario.alphabets
+        enum = _Enumeration(al, scenario.horizon)
+        V_b, V_m, V_r = _value_matrices(_Tables(scenario), enum, pi, al.state_index(state))
+        nb, nr = V_b.shape
+        picks = [(0, 0, 0), (nb - 1, nb - 1, nr - 1)] + [
+            (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(12)
+        ]
+        # both paths add the same float terms in the same order: exact equality
+        for ib, im, ir in picks:
+            oracle = expected_utilities(scenario, enum.profile(ib, im, ir), BeliefState(pi), state)
+            assert (V_b[ib, ir], V_m[im, ir], V_r[ib, im, ir]) == oracle
+
+    def test_horizon_three_solve_matches_oracle(self, table1):
+        scenario = _with_horizon(table1, 3)
+        for pi, state in ((0.1, "x_n"), (0.15, "x_a"), (0.7, "x_n"), (0.95, "x_a")):
+            belief = BeliefState(pi)
+            result = solve_bne(scenario, belief, state)
+            values = (
+                result.sender_value_benign,
+                result.sender_value_malicious,
+                result.receiver_value,
+            )
+            assert values == expected_utilities(scenario, result.profile, belief, state)
 
 
 class TestBruteForceCrossCheck:

@@ -102,9 +102,10 @@ class TestRunBatch:
         assert len(summary.agreement_steps) == 9
 
     def test_parallel_matches_sequential(self, table1):
+        # 7 episodes over 3 workers: uneven contiguous chunks of 2, 2 and 3
         scenario = replace(table1, episode_length=40)
-        sequential, seq_trajs = run_batch(scenario, 4, base_seed=11, workers=1)
-        parallel, par_trajs = run_batch(scenario, 4, base_seed=11, workers=2)
+        sequential, seq_trajs = run_batch(scenario, 7, base_seed=11, workers=1)
+        parallel, par_trajs = run_batch(scenario, 7, base_seed=11, workers=3)
         assert asdict(sequential) == asdict(parallel)
         for a, b in zip(seq_trajs, par_trajs):
             assert asdict(a) == asdict(b)
