@@ -20,9 +20,9 @@ from .scenario_io import (
     ScenarioFormatError,
     format_trajectory,
     load_scenario,
+    read_scenario,
     read_trajectory,
     resolve_config_path,
-    scenario_from_dict,
     write_batch,
 )
 from .simulate import run_batch, run_episode
@@ -86,12 +86,7 @@ def _load(config: str):
 
 
 def _cmd_validate(args) -> int:
-    try:
-        doc = json.loads(resolve_config_path(args.config).read_text())
-        scenario = scenario_from_dict(doc)
-    except (ScenarioFormatError, FileNotFoundError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    scenario = read_scenario(resolve_config_path(args.config))
     report = validate_kernel(scenario.kernel)
     for violation in report.violations:
         print(f"kernel violation [{violation.kind}]: {violation.message}")

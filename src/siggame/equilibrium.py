@@ -50,16 +50,15 @@ class EnumerationLimitError(ValueError):
 class NoPureEquilibriumError(RuntimeError):
     """No joint pure profile is a mutual best response.
 
-    Carries the best-response cycle that witnesses non-existence, plus the
-    defender-anchored approximate profile: among profiles where the receiver
-    is exactly best-responding, the one minimizing the largest sender
-    deviation gain (ties broken in enumeration order). ``fallback_regret`` is
-    that largest gain; it is zero exactly when a pure equilibrium exists.
+    Carries the defender-anchored approximate profile: among profiles where
+    the receiver is exactly best-responding, the one minimizing the larger
+    sender deviation gain (ties broken in enumeration order).
+    ``fallback_regret`` is that gain. It would be zero at a pure equilibrium,
+    so its positive value is the certificate that none exists.
     """
 
-    def __init__(self, message, cycle, fallback_profile, fallback_regret):
+    def __init__(self, message, fallback_profile, fallback_regret):
         super().__init__(message)
-        self.cycle = cycle
         self.fallback_profile = fallback_profile
         self.fallback_regret = fallback_regret
 
@@ -357,55 +356,24 @@ def _value_matrices(tab, enum, pi, x0):
     return V_b, V_m, V_r
 
 
-def _best_response_cycle(V_b, V_m, V_r):
-    """Iterate joint best responses from the first profile until a repeat."""
-    seen: dict[tuple[int, int, int], int] = {}
-    seq: list[tuple[int, int, int]] = []
-    state = (0, 0, 0)
-    while state not in seen:
-        seen[state] = len(seq)
-        seq.append(state)
-        _, _, ir = state
-        ib = int(np.argmax(V_b[:, ir]))
-        im = int(np.argmax(V_m[:, ir]))
-        state = (ib, im, int(np.argmax(V_r[ib, im, :])))
-    return tuple(seq[seen[state]:])
+def _scan(tab, enum, pi, x0):
+    """Value every joint profile and find the first of least regret.
 
-
-def _solve(tab, enum, pi, x0) -> EquilibriumResult:
+    Regret is the larger sender deviation gain where the receiver branch is
+    a best response, and infinite elsewhere. Zero regret is a pure
+    equilibrium; with none, the first minimizer is the defender-anchored
+    fallback. Returns the value tensors, the regret tensor and that profile.
+    """
     V_b, V_m, V_r = _value_matrices(tab, enum, pi, x0)
-    best_b = V_b.max(axis=0)
-    best_m = V_m.max(axis=0)
-    best_r = V_r.max(axis=2)
-    eq_mask = (
-        (V_b >= best_b)[:, None, :] & (V_m >= best_m)[None, :, :] & (V_r >= best_r[:, :, None])
+    regret = np.full(V_r.shape, np.inf)
+    np.maximum(
+        (V_b.max(axis=0) - V_b)[:, None, :],
+        (V_m.max(axis=0) - V_m)[None, :, :],
+        out=regret,
+        where=V_r >= V_r.max(axis=2, keepdims=True),
     )
-    count = int(eq_mask.sum())
-    if count:
-        ib, im, ir = (int(i) for i in np.argwhere(eq_mask)[0])
-        return EquilibriumResult(
-            profile=enum.profile(ib, im, ir),
-            sender_value_benign=float(V_b[ib, ir]),
-            sender_value_malicious=float(V_m[im, ir]),
-            receiver_value=float(V_r[ib, im, ir]),
-            multiplicity=count,
-            tie_broken=count > 1,
-        )
-    regret_b = best_b - V_b
-    regret_m = best_m - V_m
-    regret_r = best_r[:, :, None] - V_r
-    sender_regret = np.maximum(regret_b[:, None, :], regret_m[None, :, :])
-    candidates = np.where(regret_r <= 0.0, sender_regret, np.inf)
-    flat = int(np.argmin(candidates))
-    fb = tuple(int(i) for i in np.unravel_index(flat, candidates.shape))
-    cycle = _best_response_cycle(V_b, V_m, V_r)
-    raise NoPureEquilibriumError(
-        f"no pure mutual best response among {candidates.size} joint profiles "
-        f"(best-response cycle of length {len(cycle)})",
-        cycle=cycle,
-        fallback_profile=enum.profile(*fb),
-        fallback_regret=float(candidates[fb]),
-    )
+    first = np.unravel_index(int(np.argmin(regret)), regret.shape)
+    return (V_b, V_m, V_r), regret, tuple(int(i) for i in first)
 
 
 def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> EquilibriumResult:
@@ -417,31 +385,53 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     same (belief, x_now). The lexicographically first equilibrium in
     enumeration order is returned together with the total count found.
 
-    Raises NoPureEquilibriumError when no profile passes; the error carries a
-    witnessing best-response cycle and a deterministic approximate profile.
+    Raises NoPureEquilibriumError when no profile passes; the error carries
+    the defender-anchored fallback profile and its least regret, which is
+    positive and so certifies non-existence.
     """
     tab = _Tables(scenario)
     enum = _Enumeration(scenario.alphabets, scenario.horizon)
-    return _solve(tab, enum, belief.pi_m, scenario.alphabets.state_index(x_now))
+    (V_b, V_m, V_r), regret, (ib, im, ir) = _scan(
+        tab, enum, belief.pi_m, scenario.alphabets.state_index(x_now)
+    )
+    least = float(regret[ib, im, ir])
+    if least > 0.0:
+        raise NoPureEquilibriumError(
+            f"no pure mutual best response among {regret.size} joint profiles "
+            f"(least sender regret {least:.6g})",
+            fallback_profile=enum.profile(ib, im, ir),
+            fallback_regret=least,
+        )
+    count = int(np.count_nonzero(regret == 0.0))
+    return EquilibriumResult(
+        profile=enum.profile(ib, im, ir),
+        sender_value_benign=float(V_b[ib, ir]),
+        sender_value_malicious=float(V_m[im, ir]),
+        receiver_value=float(V_r[ib, im, ir]),
+        multiplicity=count,
+        tie_broken=count > 1,
+    )
 
 
 class RecedingHorizonPolicy:
     """Per-step decision rule: solve the window at (belief, state), keep roots.
 
     Results are memoized on the exact (belief, state) pair; the belief key is
-    the full double, no quantization. When the scan proves no pure profile is
-    a mutual best response the policy, by default, falls back to the
-    defender-anchored approximate profile carried by the error (receiver
-    exactly best-responding, sender regret minimized); pass
-    ``resolve_missing=False`` to propagate the error instead.
+    the full double, no quantization. The roots are those of the first
+    least-regret profile: the first pure equilibrium when one exists, else
+    the defender-anchored fallback (receiver exactly best-responding, sender
+    regret minimized) that ``solve_bne`` attaches to its error.
     """
 
-    def __init__(self, scenario: Scenario, resolve_missing: bool = True):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.resolve_missing = resolve_missing
         self._tables = _Tables(scenario)
         self._enum = _Enumeration(scenario.alphabets, scenario.horizon)
-        self._x_index: Callable[[str], int] = scenario.alphabets.state_index
+        al = scenario.alphabets
+        # a branch's first entry is its root label
+        self._sender_roots = [al.actions[b[0]] for b in self._enum.sender_branches]
+        self._receiver_roots = [al.reactions[b[0]] for b in self._enum.receiver_branches]
+        self._x_index: Callable[[str], int] = al.state_index
         self._cache: dict[tuple[float, str], tuple[str, str, str]] = {}
 
     def decide(self, pi_m: float, state: str) -> tuple[str, str, str]:
@@ -449,13 +439,7 @@ class RecedingHorizonPolicy:
         key = (pi_m, state)
         roots = self._cache.get(key)
         if roots is None:
-            try:
-                profile = _solve(self._tables, self._enum, pi_m, self._x_index(state)).profile
-            except NoPureEquilibriumError as err:
-                if not self.resolve_missing:
-                    raise
-                profile = err.fallback_profile
-            roots = profile.root_prescriptions()
+            _, _, (ib, im, ir) = _scan(self._tables, self._enum, pi_m, self._x_index(state))
+            roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
             self._cache[key] = roots
         return roots
-

@@ -181,8 +181,8 @@ def validate_kernel(kernel: TransitionKernel) -> ValidationReport:
     """Check that every (x, a, r) triple has a probability row.
 
     Structural defects (missing rows, wrong row length, rows for unknown
-    labels) are reported separately from probabilistic ones (negative entries,
-    row sums off unity by more than ROW_SUM_TOL).
+    labels) are reported separately from probabilistic ones (negative or NaN
+    entries, row sums off unity by more than ROW_SUM_TOL).
     """
     al = kernel.alphabets
     violations: list[KernelViolation] = []
@@ -204,13 +204,13 @@ def validate_kernel(kernel: TransitionKernel) -> ValidationReport:
                 )
             )
             continue
+        # Both checks are written so that a NaN entry fails them.
         for state, p in zip(al.states, row):
-            if p < 0.0:
-                violations.append(
-                    KernelViolation("negative", key, f"row {key} has negative entry {p} at {state!r}")
-                )
+            if not p >= 0.0:
+                message = f"row {key} has entry {p} at {state!r}, not >= 0"
+                violations.append(KernelViolation("negative", key, message))
         total = math.fsum(row)
-        if abs(total - 1.0) > ROW_SUM_TOL:
+        if not abs(total - 1.0) <= ROW_SUM_TOL:
             violations.append(KernelViolation("sum", key, f"row {key} sums to {total!r}, not 1"))
     return ValidationReport(passed=not violations, violations=tuple(violations))
 

@@ -54,33 +54,46 @@ class ScenarioFormatError(ValueError):
     """The scenario document is malformed or fails validation."""
 
 
-def _require(doc: dict, key: str, where: str) -> Any:
-    if key not in doc:
+def _require(doc: Any, key: str, where: str) -> Any:
+    if not isinstance(doc, dict) or key not in doc:
         raise ScenarioFormatError(f"{where}: missing required field {key!r}")
     return doc[key]
 
 
+def _as(kind: type, node: Any, where: str) -> Any:
+    """``kind(node)``, or a format error naming the field."""
+    try:
+        return kind(node)
+    except (TypeError, ValueError):
+        raise ScenarioFormatError(f"{where}: expected {kind.__name__}, got {node!r}") from None
+
+
+def _row(node: Any, where: str) -> tuple[float, ...]:
+    return tuple(_as(float, v, where) for v in _as(list, node, where))
+
+
 def _parse_kernel(doc: dict, alphabets: Alphabets) -> TransitionKernel:
-    rows = _require(doc, "rows", "kernel")
+    rows = _as(dict, _require(doc, "rows", "kernel"), "kernel.rows")
     reaction_independent = bool(doc.get("reaction_independent", False))
     table: dict[tuple[str, str, str], tuple[float, ...]] = {}
     for x, by_action in rows.items():
         if x not in alphabets.states:
             raise ScenarioFormatError(f"kernel: unknown state label {x!r}")
-        for a, entry in by_action.items():
+        for a, entry in _as(dict, by_action, f"kernel.rows.{x}").items():
             if a not in alphabets.actions:
                 raise ScenarioFormatError(f"kernel: unknown action label {a!r} under state {x!r}")
+            where = f"kernel.rows.{x}.{a}"
             if reaction_independent:
-                vector = tuple(float(v) for v in entry)
+                vector = _row(entry, where)
                 for r in alphabets.reactions:
                     table[(x, a, r)] = vector
             else:
-                for r, vec in entry.items():
+                for r, vec in _as(dict, entry, where).items():
                     if r not in alphabets.reactions:
                         raise ScenarioFormatError(
                             f"kernel: unknown reaction label {r!r} under ({x!r}, {a!r})"
                         )
-                    table[(x, a, r)] = tuple(float(v) for v in vec)
+                    table[(x, a, r)] = _row(vec, f"{where}.{r}")
     return TransitionKernel(alphabets=alphabets, table=table)
 
 
@@ -134,11 +147,14 @@ def _parse_utilities(doc: dict, alphabets: Alphabets) -> UtilityTables:
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document (no kernel validation)."""
     alpha_doc = _require(doc, "alphabets", "document")
-    alphabets = Alphabets(
-        states=tuple(_require(alpha_doc, "states", "alphabets")),
-        actions=tuple(_require(alpha_doc, "actions", "alphabets")),
-        reactions=tuple(_require(alpha_doc, "reactions", "alphabets")),
-    )
+    labels = [
+        _as(tuple, _require(alpha_doc, key, "alphabets"), f"alphabets.{key}")
+        for key in ("states", "actions", "reactions")
+    ]
+    try:
+        alphabets = Alphabets(*labels)
+    except (TypeError, ValueError) as err:  # unhashable, empty or duplicate labels
+        raise ScenarioFormatError(f"alphabets: {err}") from err
     kernel = _parse_kernel(_require(doc, "kernel", "document"), alphabets)
     utilities = _parse_utilities(_require(doc, "utilities", "document"), alphabets)
     try:
@@ -147,11 +163,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
             kernel=kernel,
             utilities=utilities,
             initial_state=_require(doc, "initial_state", "document"),
-            prior=float(_require(doc, "prior", "document")),
+            prior=_as(float, _require(doc, "prior", "document"), "prior"),
             true_type=_require(doc, "true_type", "document"),
-            horizon=int(doc.get("horizon", 2)),
-            episode_length=int(doc.get("steps", 300)),
-            base_seed=int(doc.get("seed", 0)),
+            horizon=_as(int, doc.get("horizon", 2), "horizon"),
+            episode_length=_as(int, doc.get("steps", 300), "steps"),
+            base_seed=_as(int, doc.get("seed", 0), "seed"),
         )
     except ValueError as err:
         raise ScenarioFormatError(str(err)) from err
@@ -195,6 +211,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def read_scenario(path: str | Path) -> Scenario:
+    """Parse a scenario file without kernel validation."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ScenarioFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    return scenario_from_dict(doc)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file.
 
@@ -202,12 +228,7 @@ def load_scenario(path: str | Path) -> Scenario:
     distinguishability check is only a warning: downstream simulation stays
     well defined, only the action-agreement guarantees lose their premise.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ScenarioFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    scenario = scenario_from_dict(doc)
+    scenario = read_scenario(path)
     report = validate_kernel(scenario.kernel)
     if not report.passed:
         details = "; ".join(v.message for v in report.violations)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .beliefs import coefficient_value, posterior_malicious
 from .diagnostics import Classification, agreement_series, convergence_report
-from .equilibrium import NoPureEquilibriumError, RecedingHorizonPolicy
+from .equilibrium import RecedingHorizonPolicy
 from .model import MALICIOUS, Scenario, sample_transition
 
 _MASK64 = (1 << 64) - 1
@@ -90,8 +90,7 @@ def run_episode(
     """Simulate one episode of ``scenario.episode_length`` steps.
 
     A shared policy may be passed to reuse its solve cache across episodes;
-    results do not depend on that reuse. Raises whatever the policy raises
-    (annotated with the step index) when it is configured strictly.
+    results do not depend on that reuse.
     """
     if policy is None:
         policy = RecedingHorizonPolicy(scenario)
@@ -102,13 +101,8 @@ def run_episode(
     pi = scenario.prior
     state_index = scenario.alphabets.state_index
     kernel = scenario.kernel
-    for k in range(1, scenario.episode_length + 1):
-        try:
-            a_b, a_m, reaction = policy.decide(pi, x)
-        except NoPureEquilibriumError as err:
-            raise NoPureEquilibriumError(
-                f"step {k}: {err}", err.cycle, err.fallback_profile, err.fallback_regret
-            ) from err
+    for _ in range(scenario.episode_length):
+        a_b, a_m, reaction = policy.decide(pi, x)
         applied = a_m if malicious else a_b
         x_next = sample_transition(kernel, x, applied, reaction, rng)
         j = state_index(x_next)
@@ -136,12 +130,12 @@ def run_episode(
 
 
 def _run_chunk(
-    args: tuple[Scenario, int, list[int], bool]
+    args: tuple[Scenario, int, list[int]]
 ) -> list[tuple[int, Trajectory | None, str | None]]:
     """Run consecutive episodes, numbered from ``start``, with one shared
     policy; each failure is recorded against its episode index."""
-    scenario, start, seeds, resolve_missing = args
-    policy = RecedingHorizonPolicy(scenario, resolve_missing=resolve_missing)
+    scenario, start, seeds = args
+    policy = RecedingHorizonPolicy(scenario)
     out: list[tuple[int, Trajectory | None, str | None]] = []
     for index, seed in enumerate(seeds, start):
         try:
@@ -159,7 +153,6 @@ def run_batch(
     window: int = 20,
     tol: float = 0.01,
     workers: int = 1,
-    resolve_missing: bool = True,
 ) -> tuple[BatchSummary, list[Trajectory | None]]:
     """Run ``n_episodes`` independent episodes and aggregate diagnostics.
 
@@ -168,9 +161,8 @@ def run_batch(
     separate process with one policy shared across the chunk; trajectories
     are reassembled in episode order, so the summary is identical at any
     parallelism degree.
-    Per-episode failures are recorded in the summary instead of aborting;
-    with ``resolve_missing=False`` the policy propagates equilibrium
-    non-existence, which is the usual source of such failures.
+    Per-episode failures, such as a worker's exception, are recorded in the
+    summary against their episode index instead of aborting the batch.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -179,15 +171,11 @@ def run_batch(
     errors: list[tuple[int, str]] = []
     if workers > 1:
         bounds = [n_episodes * k // workers for k in range(workers + 1)]
-        tasks = [
-            (scenario, lo, seeds[lo:hi], resolve_missing)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
+        tasks = [(scenario, lo, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = [item for chunk in pool.map(_run_chunk, tasks) for item in chunk]
     else:
-        outcomes = _run_chunk((scenario, 0, seeds, resolve_missing))
+        outcomes = _run_chunk((scenario, 0, seeds))
     for index, traj, err in outcomes:
         results[index] = traj
         if err is not None:

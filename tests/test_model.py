@@ -77,11 +77,16 @@ class TestValidateKernel:
         assert any(v.key == ("x_n", "a_b", "r_b") for v in report.violations)
 
     def test_negative_entry(self):
-        rows = dict(TABLE1_ROWS)
-        rows[("x_a", "a_m")] = (-0.1, 1.1)
-        report = validate_kernel(reaction_independent_kernel(rows))
-        assert not report.passed
-        assert any(v.kind == "negative" for v in report.violations)
+        # NaN compares False both ways, so it must fail both checks
+        for row, kinds in (
+            ((-0.1, 1.1), {"negative"}),
+            ((float("nan"), 1.0), {"negative", "sum"}),
+        ):
+            rows = dict(TABLE1_ROWS)
+            rows[("x_a", "a_m")] = row
+            report = validate_kernel(reaction_independent_kernel(rows))
+            assert not report.passed
+            assert {v.kind for v in report.violations} == kinds
 
     def test_missing_row_is_structural(self):
         al = binary_alphabets()

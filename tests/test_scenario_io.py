@@ -85,6 +85,21 @@ class TestScenarioErrors:
         with pytest.raises(ScenarioFormatError, match="prior"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("kernel.rows", lambda doc: doc["kernel"].update(rows=[1, 2])),
+            ("prior", lambda doc: doc.update(prior=None)),
+            ("alphabets", lambda doc: doc["alphabets"].update(states=[["x_n"], "x_a"])),
+        ],
+        ids=["rows-list", "prior-null", "label-list"],
+    )
+    def test_wrong_json_type_names_field(self, table1, field, edit):
+        doc = scenario_to_dict(table1)
+        edit(doc)
+        with pytest.raises(ScenarioFormatError, match=field):
+            scenario_from_dict(json.loads(json.dumps(doc)))
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json }")
