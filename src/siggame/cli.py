@@ -166,12 +166,10 @@ def _cmd_batch(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     reports = []
-    limits = []
     for name in args.inputs:
         traj = read_trajectory(name)
         report = convergence_report(traj, window=args.window, tol=args.tol)
         _, sustained = agreement_series(traj)
-        limits.append(report.limit_estimate)
         reports.append(
             {
                 "file": name,
@@ -183,7 +181,7 @@ def _cmd_diagnose(args) -> int:
             }
         )
     # Verdict over the supplied files, read as one malicious-type batch.
-    averse = all(l <= 1.0 - args.tol for l in limits)
+    averse = all(r["limit_estimate"] <= 1.0 - args.tol for r in reports)
     doc = {"reports": reports, "detection_averse": averse}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

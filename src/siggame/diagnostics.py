@@ -39,7 +39,6 @@ class ConvergenceReport:
     limit_estimate: float
     oscillation: float
     classification: Classification
-    window: int
     # Both events can hold at once; F_TO_ONE takes precedence and this flag
     # keeps the joint occurrence visible.
     pi_to_zero_also: bool = False
@@ -111,7 +110,6 @@ def convergence_report(
         limit_estimate=limit,
         oscillation=oscillation,
         classification=classification,
-        window=window,
         pi_to_zero_also=f_flat and pi_zero,
     )
 
@@ -123,16 +121,11 @@ def agreement_series(trajectory: "Trajectory") -> tuple[list[int], int | None]:
     the smallest 1-based step K such that the prescriptions agree from K to
     the end of the recording, or None when the last step still disagrees.
     """
-    series = list(trajectory.agreement)
-    last_disagree = None
-    for i, d in enumerate(series):
-        if d:
-            last_disagree = i
-    if last_disagree is None:
-        return series, 1
-    if last_disagree == len(series) - 1:
+    series = trajectory.agreement
+    if series and series[-1]:
         return series, None
-    return series, last_disagree + 2
+    trailing = series[::-1].index(1) if 1 in series else len(series)
+    return series, len(series) - trailing + 1
 
 
 def kl_decay_estimate(p_malicious: Sequence[float], p_benign: Sequence[float]) -> float:

@@ -83,7 +83,10 @@ class EquilibriumResult:
     sender_value_malicious: float
     receiver_value: float
     multiplicity: int
-    tie_broken: bool
+
+    @property
+    def tie_broken(self) -> bool:
+        return self.multiplicity > 1
 
 
 def window_nodes(states: Iterable[str], depth: int) -> list[tuple[str, ...]]:
@@ -117,10 +120,8 @@ class _Tables:
 
     def __init__(self, scenario: Scenario):
         al = scenario.alphabets
-        self.alphabets = al
         self.horizon = scenario.horizon
-        ns, na, nr = len(al.states), len(al.actions), len(al.reactions)
-        self.n_states = ns
+        self.n_states = len(al.states)
         kernel = scenario.kernel
         self.P = [
             [
@@ -402,14 +403,12 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
             fallback_profile=enum.profile(ib, im, ir),
             fallback_regret=least,
         )
-    count = int(np.count_nonzero(regret == 0.0))
     return EquilibriumResult(
         profile=enum.profile(ib, im, ir),
         sender_value_benign=float(V_b[ib, ir]),
         sender_value_malicious=float(V_m[im, ir]),
         receiver_value=float(V_r[ib, im, ir]),
-        multiplicity=count,
-        tie_broken=count > 1,
+        multiplicity=int(np.count_nonzero(regret == 0.0)),
     )
 
 

@@ -32,27 +32,23 @@ class Alphabets:
     """Ordered label sets for states, sender actions and defender reactions.
 
     Ordering matters: every enumeration and tie-break downstream follows the
-    order given here. The sender type set is fixed and binary.
+    order given here. The sender type set is fixed to ``TYPES``.
     """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
     reactions: tuple[str, ...]
-    types: tuple[str, str] = TYPES
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "actions", tuple(self.actions))
         object.__setattr__(self, "reactions", tuple(self.reactions))
-        object.__setattr__(self, "types", tuple(self.types))
         for name in ("states", "actions", "reactions"):
             labels = getattr(self, name)
             if not labels:
                 raise ValueError(f"{name} must be non-empty")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate {name} labels: {labels}")
-        if self.types != TYPES:
-            raise ValueError(f"sender types are fixed to {TYPES!r}")
         object.__setattr__(self, "_state_pos", {s: i for i, s in enumerate(self.states)})
         object.__setattr__(self, "_action_pos", {a: i for i, a in enumerate(self.actions)})
         object.__setattr__(self, "_reaction_pos", {r: i for i, r in enumerate(self.reactions)})
@@ -94,9 +90,6 @@ class TransitionKernel:
         except KeyError:
             raise ValueError(f"kernel has no row for (x={x!r}, a={a!r}, r={r!r})") from None
 
-    def prob(self, x: str, a: str, r: str, x_next: str) -> float:
-        return self.row(x, a, r)[self.alphabets.state_index(x_next)]
-
 
 @dataclass(frozen=True)
 class KernelViolation:
@@ -107,8 +100,11 @@ class KernelViolation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
     violations: tuple[KernelViolation, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     @property
     def structural(self) -> tuple[KernelViolation, ...]:
@@ -209,10 +205,11 @@ def validate_kernel(kernel: TransitionKernel) -> ValidationReport:
             if not p >= 0.0:
                 message = f"row {key} has entry {p} at {state!r}, not >= 0"
                 violations.append(KernelViolation("negative", key, message))
-        total = math.fsum(row)
+        # fsum raises on a row holding both infinities; sum gives NaN there.
+        total = math.fsum(row) if all(map(math.isfinite, row)) else sum(row)
         if not abs(total - 1.0) <= ROW_SUM_TOL:
             violations.append(KernelViolation("sum", key, f"row {key} sums to {total!r}, not 1"))
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))
 
 
 def check_distinguishability(

@@ -9,18 +9,23 @@ explicit label overriding a wildcard.
 Trajectory CSVs have the fixed header
 ``k,state,action_b,action_m,applied_action,reaction,belief_m,bayes_coeff,agreement``
 with one row per step; belief and coefficient columns carry 12 significant
-digits, which re-import and re-export byte-identically.
+digits, which re-import and re-export byte-identically. The ``k``,
+``applied_action`` and ``agreement`` columns are derived from the others and
+checked on import.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 import warnings
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .model import (
     BENIGN,
@@ -271,20 +276,20 @@ def format_trajectory(trajectory: Trajectory) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TRAJECTORY_COLUMNS)
-    for i in range(len(trajectory)):
-        writer.writerow(
-            (
-                i + 1,
-                trajectory.states[i],
-                trajectory.actions_benign[i],
-                trajectory.actions_malicious[i],
-                trajectory.applied_actions[i],
-                trajectory.reactions[i],
-                format(trajectory.beliefs[i], _FLOAT_FORMAT),
-                format(trajectory.coefficients[i], _FLOAT_FORMAT),
-                trajectory.agreement[i],
-            )
+    writer.writerows(
+        zip(
+            range(1, len(trajectory) + 1),
+            trajectory.states,
+            trajectory.actions_benign,
+            trajectory.actions_malicious,
+            trajectory.applied_actions,
+            trajectory.reactions,
+            [format(b, _FLOAT_FORMAT) for b in trajectory.beliefs],
+            [format(f, _FLOAT_FORMAT) for f in trajectory.coefficients],
+            trajectory.agreement,
+            strict=True,
         )
+    )
     return buffer.getvalue()
 
 
@@ -292,53 +297,87 @@ def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
     Path(path).write_text(format_trajectory(trajectory))
 
 
+def _row_error(path: Path, index: int, message: str) -> ValueError:
+    """The error for data row ``index``, naming its line; the file is read
+    again because a quoted field may span lines."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(reader, index + 2):
+            pass
+        return ValueError(f"{path}:{reader.line_num}: {message}")
+
+
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _floats(
+    path: Path, name: str, column: list[str], accept: Callable[[float], bool], expected: str
+) -> list[float]:
+    """Parse a numeric column whose values must all satisfy ``accept``,
+    which rejects NaN (what a non-number parses to on the error path)."""
+    try:
+        values = list(map(float, column))
+    except ValueError:
+        values = list(map(_parse_float, column))
+    if not all(map(accept, values)):
+        i = next(i for i, v in enumerate(values) if not accept(v))
+        raise _row_error(path, i, f"{name} is {column[i]!r}, expected {expected}")
+    return values
+
+
 def read_trajectory(path: str | Path) -> Trajectory:
     """Re-import an exported trajectory.
 
     The CSV schema does not carry the true type or seed; the type is inferred
-    from any step where the prescriptions disagree (the applied action then
-    identifies it) and left None when every step pools.
+    from the first step where the prescriptions disagree (the applied action
+    then identifies it) and left None when every step pools. Derived columns
+    must equal their derivation and numbers lie in range, or a
+    ``ValueError("<path>:<line>: ...")`` names the first offending row.
     """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != TRAJECTORY_COLUMNS:
             raise ValueError(f"{path}: unexpected trajectory header {header}")
-        traj = Trajectory(true_type=None, prior=float("nan"), seed=0)
-        for row in reader:
-            (_, state, a_b, a_m, applied, reaction, belief, coeff, agreement) = row
-            traj.states.append(state)
-            traj.actions_benign.append(a_b)
-            traj.actions_malicious.append(a_m)
-            traj.applied_actions.append(applied)
-            traj.reactions.append(reaction)
-            traj.beliefs.append(float(belief))
-            traj.coefficients.append(float(coeff))
-            traj.agreement.append(int(agreement))
-    for i, d in enumerate(traj.agreement):
-        if d:
-            traj.true_type = (
-                MALICIOUS if traj.applied_actions[i] == traj.actions_malicious[i] else BENIGN
-            )
-            break
+        rows = list(reader)
+    width = len(TRAJECTORY_COLUMNS)
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise _row_error(path, i, f"expected {width} fields, got {len(rows[i])}")
+    k, states, a_b, a_m, applied, reactions, beliefs, coeffs, agreement = (
+        [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
+    )
+    traj = Trajectory(
+        true_type=None,
+        prior=math.nan,
+        seed=0,
+        states=states,
+        actions_benign=a_b,
+        actions_malicious=a_m,
+        reactions=reactions,
+        beliefs=_floats(path, "belief_m", beliefs, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+        coefficients=_floats(
+            path, "bayes_coeff", coeffs, lambda v: 0 <= v < math.inf, "a finite number >= 0"
+        ),
+    )
+    derived = traj.agreement
+    if 1 in derived:
+        i = derived.index(1)
+        traj.true_type = MALICIOUS if applied[i] == a_m[i] else BENIGN
+    for name, got, want in (
+        ("k", k, list(map(str, range(1, len(rows) + 1)))),
+        ("applied_action", applied, traj.applied_actions),
+        ("agreement", agreement, list(map(str, derived))),
+    ):
+        if got != want:
+            i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            raise _row_error(path, i, f"{name} is {got[i]!r}, expected {want[i]!r}")
     return traj
-
-
-def summary_to_dict(summary: BatchSummary) -> dict:
-    return {
-        "n_episodes": summary.n_episodes,
-        "true_type": summary.true_type,
-        "base_seed": summary.base_seed,
-        "window": summary.window,
-        "tol": summary.tol,
-        "terminal_beliefs": summary.terminal_beliefs,
-        "limit_estimates": summary.limit_estimates,
-        "oscillations": summary.oscillations,
-        "agreement_steps": summary.agreement_steps,
-        "classifications": summary.classifications,
-        "errors": summary.errors,
-    }
 
 
 def write_batch(
@@ -356,6 +395,6 @@ def write_batch(
         write_trajectory(traj, path)
         written.append(path)
     summary_path = outdir / "summary.json"
-    summary_path.write_text(json.dumps(summary_to_dict(summary), indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
     return written

@@ -45,9 +45,9 @@ class Trajectory:
     ``beliefs[k-1]`` the belief after observing the step-k successor, and
     ``coefficients[k-1]`` the Bayes factor of the true type for that same
     observation, so beliefs[k] = coefficients[k] * beliefs[k-1] on the true
-    type's coordinate. ``agreement[k-1]`` is 0 exactly when both types'
-    prescriptions coincide. At an endpoint belief (0 or 1) the update is
-    absorbing and the recorded factor is 1.
+    type's coordinate. At an endpoint belief (0 or 1) the update is
+    absorbing and the recorded factor is 1. The applied actions and the
+    agreement series are derived from the stored columns, not stored.
     """
 
     true_type: str | None
@@ -56,14 +56,24 @@ class Trajectory:
     states: list[str] = field(default_factory=list)
     actions_benign: list[str] = field(default_factory=list)
     actions_malicious: list[str] = field(default_factory=list)
-    applied_actions: list[str] = field(default_factory=list)
     reactions: list[str] = field(default_factory=list)
     beliefs: list[float] = field(default_factory=list)
     coefficients: list[float] = field(default_factory=list)
-    agreement: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def applied_actions(self) -> list[str]:
+        """The true type's prescribed actions; with the type unknown every
+        step pools, so both columns are equal."""
+        return list(self.actions_malicious if self.true_type == MALICIOUS else self.actions_benign)
+
+    @property
+    def agreement(self) -> list[int]:
+        """Per step, 0 when both types' prescriptions coincide and 1 when
+        they differ."""
+        return [0 if b == m else 1 for b, m in zip(self.actions_benign, self.actions_malicious)]
 
 
 @dataclass
@@ -119,11 +129,9 @@ def run_episode(
         traj.states.append(x)
         traj.actions_benign.append(a_b)
         traj.actions_malicious.append(a_m)
-        traj.applied_actions.append(applied)
         traj.reactions.append(reaction)
         traj.beliefs.append(pi_next)
         traj.coefficients.append(f)
-        traj.agreement.append(0 if a_b == a_m else 1)
         x = x_next
         pi = pi_next
     return traj
@@ -180,27 +188,20 @@ def run_batch(
         results[index] = traj
         if err is not None:
             errors.append((index, err))
-    terminal: list[float | None] = []
-    limits: list[float | None] = []
-    oscillations: list[float | None] = []
-    agreements: list[int | None] = []
     tallies = {c.value: 0 for c in Classification}
     tallies[ERROR_TALLY] = 0
+    # per episode: terminal belief, limit, oscillation, sustained-agreement step
+    episodes: list[tuple] = []
     for traj in results:
         if traj is None:
-            terminal.append(None)
-            limits.append(None)
-            oscillations.append(None)
-            agreements.append(None)
+            episodes.append((None, None, None, None))
             tallies[ERROR_TALLY] += 1
             continue
         report = convergence_report(traj, window=window, tol=tol)
         _, sustained = agreement_series(traj)
-        terminal.append(traj.beliefs[-1])
-        limits.append(report.limit_estimate)
-        oscillations.append(report.oscillation)
-        agreements.append(sustained)
+        episodes.append((traj.beliefs[-1], report.limit_estimate, report.oscillation, sustained))
         tallies[report.classification.value] += 1
+    terminal, limits, oscillations, agreements = map(list, zip(*episodes))
     summary = BatchSummary(
         n_episodes=n_episodes,
         true_type=scenario.true_type,

@@ -41,10 +41,12 @@ import sys
 import time
 from dataclasses import asdict, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import siggame
 from conftest import build_binary_scenario
 from siggame.beliefs import BeliefState, LikelihoodPair, bayes_update, posterior_malicious
 from siggame.cli import main
@@ -415,11 +417,13 @@ def test_criterion_9_determinism(tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--config", config, "--seed", "31", "--steps", "50"]
     assert main(args + ["--out", str(first)]) == 0
-    # second run in a separate interpreter process
+    # second run in a separate interpreter process, started next to the
+    # package imported here so that it runs the same code
     proc = subprocess.run(
         [sys.executable, "-m", "siggame.cli", *args, "--out", str(second)],
         capture_output=True,
         text=True,
+        cwd=Path(siggame.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
     files_identical = first.read_bytes() == second.read_bytes()

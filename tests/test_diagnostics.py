@@ -37,18 +37,18 @@ def series_trajectory(beliefs, coefficients=None, agreement=None):
         for b in beliefs:
             coefficients.append(b / prev if prev else 1.0)
             prev = b
+    if agreement is None:
+        agreement = [0] * n
     return Trajectory(
         true_type=MALICIOUS,
         prior=0.5,
         seed=0,
         states=["x_n"] * n,
         actions_benign=["a_b"] * n,
-        actions_malicious=["a_b"] * n,
-        applied_actions=["a_b"] * n,
+        actions_malicious=["a_m" if d else "a_b" for d in agreement],
         reactions=["r_b"] * n,
         beliefs=list(beliefs),
         coefficients=list(coefficients),
-        agreement=list(agreement) if agreement is not None else [0] * n,
     )
 
 

@@ -50,7 +50,7 @@ class TestAlphabets:
             Alphabets(states=(), actions=("a",), reactions=("r",))
 
     def test_type_set_is_fixed(self):
-        with pytest.raises(ValueError, match="fixed"):
+        with pytest.raises(TypeError, match="types"):
             Alphabets(
                 states=("x",), actions=("a",), reactions=("r",), types=("good", "bad")
             )
@@ -77,16 +77,19 @@ class TestValidateKernel:
         assert any(v.key == ("x_n", "a_b", "r_b") for v in report.violations)
 
     def test_negative_entry(self):
-        # NaN compares False both ways, so it must fail both checks
+        # NaN compares False both ways, so it must fail both checks; a row
+        # holding both infinities sums to NaN and must be reported, not raise
         for row, kinds in (
             ((-0.1, 1.1), {"negative"}),
             ((float("nan"), 1.0), {"negative", "sum"}),
+            ((float("inf"), float("-inf")), {"negative", "sum"}),
         ):
             rows = dict(TABLE1_ROWS)
             rows[("x_a", "a_m")] = row
             report = validate_kernel(reaction_independent_kernel(rows))
             assert not report.passed
             assert {v.kind for v in report.violations} == kinds
+            assert {v.key[:2] for v in report.violations} == {("x_a", "a_m")}
 
     def test_missing_row_is_structural(self):
         al = binary_alphabets()

@@ -1,10 +1,14 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siggame.model import BENIGN, MALICIOUS
+from siggame.model import BENIGN, MALICIOUS, TYPES
 from siggame.scenario_io import (
+    TRAJECTORY_COLUMNS,
     ScenarioFormatError,
     bundled_scenario_names,
     format_trajectory,
@@ -14,11 +18,10 @@ from siggame.scenario_io import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    summary_to_dict,
     write_batch,
     write_trajectory,
 )
-from siggame.simulate import run_batch, run_episode
+from siggame.simulate import Trajectory, run_batch, run_episode
 
 
 class TestBundledScenarios:
@@ -181,6 +184,139 @@ class TestTrajectoryCsv:
             read_trajectory(path)
 
 
+def edited_csv(path, trajectory, line, column, value):
+    """Write ``trajectory`` as CSV with one cell replaced (``column`` None
+    appends ``value`` as an extra field); ``line`` counts the header as 1."""
+    rows = [text.split(",") for text in format_trajectory(trajectory).splitlines()]
+    if column is None:
+        rows[line - 1].append(value)
+    else:
+        rows[line - 1][TRAJECTORY_COLUMNS.index(column)] = value
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def raises_at(path, line, message=""):
+    return pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: {message}"))
+
+
+class TestTrajectoryCsvChecks:
+    """Stored columns that can be derived must equal their derivation, and
+    numbers must be in range; each error names the path and line."""
+
+    # Malicious type, known from step 1; steps 1, 2 and 4 separate, 3 pools.
+    TRAJECTORY = Trajectory(
+        true_type=MALICIOUS,
+        prior=0.1,
+        seed=0,
+        states=["x_n", "x_a", "x_n", "x_n"],
+        actions_benign=["a_b"] * 4,
+        actions_malicious=["a_m", "a_m", "a_b", "a_m"],
+        reactions=["r_b"] * 4,
+        beliefs=[0.2, 0.4, 0.4, 0.6],
+        coefficients=[2.0, 2.0, 1.0, 1.5],
+    )
+
+    @pytest.mark.parametrize(
+        "line, column, value, message",
+        [
+            (4, "k", "7", "k is '7', expected '3'"),
+            (5, "applied_action", "a_b", "applied_action is 'a_b', expected 'a_m'"),
+            (2, "applied_action", "a_x", "applied_action is 'a_x', expected 'a_b'"),
+            (3, "agreement", "0", "agreement is '0', expected '1'"),
+            (4, "agreement", "1", "agreement is '1', expected '0'"),
+            (3, None, "extra", "expected 9 fields, got 10"),
+            (3, "belief_m", "nan", "belief_m is 'nan'"),
+            (3, "belief_m", "1.5", "belief_m is '1.5'"),
+            (3, "belief_m", "abc", "belief_m is 'abc'"),
+            (5, "bayes_coeff", "inf", "bayes_coeff is 'inf'"),
+            (5, "bayes_coeff", "-1", "bayes_coeff is '-1'"),
+        ],
+        ids=[
+            "k",
+            "applied-other-type",
+            "applied-neither",
+            "agreement-pooled",
+            "agreement-separated",
+            "extra-field",
+            "belief-nan",
+            "belief-above-one",
+            "belief-not-a-number",
+            "factor-infinite",
+            "factor-negative",
+        ],
+    )
+    def test_bad_cell_names_line(self, tmp_path, line, column, value, message):
+        path = tmp_path / "episode.csv"
+        edited_csv(path, self.TRAJECTORY, line, column, value)
+        with raises_at(path, line, message):
+            read_trajectory(path)
+
+
+@st.composite
+def trajectories(draw):
+    """Up to 40 steps over small label sets; the applied actions follow the
+    drawn type by construction, so the type is consistent."""
+    n = draw(st.integers(0, 40))
+    labels = st.sampled_from
+
+    def column(options):
+        return draw(st.lists(labels(options), min_size=n, max_size=n))
+
+    return Trajectory(
+        true_type=draw(labels(TYPES)),
+        prior=0.5,
+        seed=0,
+        states=column(["x0", "x1", "x2"]),
+        actions_benign=column(["a0", "a1"]),
+        actions_malicious=column(["a0", "a1", "a2"]),
+        reactions=column(["r0", "r1"]),
+        beliefs=draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+        coefficients=draw(
+            st.lists(
+                st.floats(0.0, allow_nan=False, allow_infinity=False), min_size=n, max_size=n
+            )
+        ),
+    )
+
+
+@pytest.fixture(scope="class")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "episode.csv"
+
+
+class TestTrajectoryCsvProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(traj=trajectories(), data=st.data())
+    def test_round_trip_and_single_cell_edits(self, csv_path, traj, data):
+        text = format_trajectory(traj)
+        csv_path.write_text(text)
+        back = read_trajectory(csv_path)
+        assert format_trajectory(back) == text
+        for name in ("states", "actions_benign", "actions_malicious", "reactions"):
+            assert getattr(back, name) == getattr(traj, name)
+        assert back.applied_actions == traj.applied_actions
+        assert back.agreement == traj.agreement
+        assert back.true_type == (traj.true_type if 1 in traj.agreement else None)
+        for name in ("beliefs", "coefficients"):
+            assert getattr(back, name) == [float(format(v, ".12g")) for v in getattr(traj, name)]
+        if not len(traj):
+            return
+        i = data.draw(st.integers(0, len(traj) - 1), label="row")
+        a_b, a_m = traj.actions_benign[i], traj.actions_malicious[i]
+        applied = ["a_x"]
+        if a_b != a_m and i != traj.agreement.index(1):
+            # a separating step after the one the type is inferred from
+            applied.append(a_b if traj.applied_actions[i] == a_m else a_m)
+        for column, value in (
+            ("k", data.draw(st.sampled_from(["0", str(i + 2), "x"]), label="k")),
+            ("applied_action", data.draw(st.sampled_from(applied), label="applied")),
+            ("agreement", str(1 - traj.agreement[i])),
+        ):
+            edited_csv(csv_path, traj, i + 2, column, value)
+            with raises_at(csv_path, i + 2, column):
+                read_trajectory(csv_path)
+
+
 class TestBatchExport:
     def test_writes_episodes_and_summary(self, table1, tmp_path):
         scenario = replace(table1, episode_length=30)
@@ -190,4 +326,4 @@ class TestBatchExport:
         assert names == ["episode_0000.csv", "episode_0001.csv", "episode_0002.csv", "summary.json"]
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["n_episodes"] == 3
-        assert doc == json.loads(json.dumps(summary_to_dict(summary)))
+        assert doc == json.loads(json.dumps(asdict(summary)))
