@@ -168,7 +168,10 @@ def _cmd_diagnose(args) -> int:
     reports = []
     for name in args.inputs:
         traj = read_trajectory(name)
-        report = convergence_report(traj, window=args.window, tol=args.tol)
+        try:
+            report = convergence_report(traj, window=args.window, tol=args.tol)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
         _, sustained = agreement_series(traj)
         reports.append(
             {

@@ -14,12 +14,15 @@ both hypothesized types, path-probability-weighted utilities further weighted
 by the belief trajectory, where the belief starts at the supplied value and is
 propagated by Bayes' rule under the candidate profile itself.
 
-The solver gets these values for all joint profiles at once from the
-vectorised path in ``_value_matrices``: per state path it walks every
-(benign, malicious, reaction) label sequence in one numpy grid and gathers
-each branch's sequence terms. ``expected_utilities`` values a single profile
-with a separate scalar walk and serves as the independent oracle; both add
-the same terms in the same order, so they agree bit for bit.
+The solver gets these values for all joint profiles at once from
+``_WindowScan``, built per root state: one numpy walk over every (state path,
+benign, malicious, reaction) label sequence, after which each branch gathers
+its sequence terms path by path. Only the receiver's values depend on the
+belief, so the walk is split there: the path weights, sender values and
+sender deviation gains are built once per state, and each new belief re-runs
+only the receiver pass and the regret scan. ``expected_utilities`` values a
+single profile with a separate scalar walk and serves as the independent
+oracle; both add the same terms in the same order, so they agree bit for bit.
 
 Tie-breaking is lexicographic in enumeration order: trees are enumerated by
 assigning labels (in alphabet order) to nodes ordered by depth then state
@@ -150,7 +153,7 @@ def _path_terms(tab, x0, pi, path, seq_b, seq_m, seq_r):
     """Contribution of one state path under one action/reaction assignment.
 
     This scalar walk is the body of the ``expected_utilities`` oracle;
-    ``_path_term_grids`` repeats it on whole sequence grids for the solver.
+    ``_WindowScan`` repeats it on whole sequence grids for the solver.
 
     Returns (w_b, mean_u_b, w_m, mean_u_m, receiver_term): the path weight and
     average sender utility per type, and the already-weighted receiver term.
@@ -295,86 +298,107 @@ class _Enumeration:
         )
 
 
-def _path_term_grids(tab, enum, x0, pi, path):
-    """Vectorised twin of ``_path_terms`` over every sequence triple.
+class _WindowScan:
+    """The window game at one root state, split at the belief.
 
-    Repeats the scalar walk op for op, in the same order, on grids indexed by
-    (benign sequence, malicious sequence, reaction sequence). Returns the
-    benign term w_b * mean_u_b over (benign, reaction) sequences, the
-    malicious term over (malicious, reaction) sequences and the receiver term
-    over the full grid. The scalar walk's early return on a vanishing path
-    becomes the ``dead`` mask on the receiver term; the sender terms there
-    are already zero, since both weights are.
+    Path weights and sender values, and so the sender deviation gains, do not
+    depend on the belief; only the receiver tensor does, through the belief
+    propagated along each state path. The constructor runs the belief-free
+    half of the walk once. It keeps each path's weights, its dead mask and its
+    receiver-utility and likelihood grids, and fills ``V_b``, ``V_m`` and the
+    gains. ``scan`` re-runs only the belief walk, the receiver gathers and the
+    regret build.
+
+    The walk runs on grids indexed by (state path, benign sequence, malicious
+    sequence, reaction sequence) and repeats ``_path_terms`` op for op, in the
+    same order, so every entry equals that scalar oracle's value for the same
+    profile bit for bit. The scalar walk's early return on a vanishing path
+    becomes the ``dead`` mask on the receiver term; the sender terms there are
+    already zero, since both weights are. Each branch gathers the terms of the
+    sequences it plays along a path one axis at a time, so that only the last
+    gather is as large as the receiver tensor, and paths are added in
+    enumeration order from zero, as ``expected_utilities`` adds them.
     """
-    P, US_b, US_m, UR_b, UR_m = tab.arrays
-    T = tab.horizon
-    w_b = w_m = 1.0
-    beta = pi
-    u_b = u_m = 0.0
-    r_b_sum = r_m_sum = 0.0
-    x = x0
-    for i, (a_b, a_m, r) in enumerate(enum.grid_steps):
-        u_b = u_b + US_b[x, a_b, r]
-        u_m = u_m + US_m[x, a_m, r]
-        r_b_sum = r_b_sum + UR_b[x, a_b, r] * (1.0 - beta)
-        r_m_sum = r_m_sum + UR_m[x, a_m, r] * beta
-        if i + 1 < T:
-            nxt = path[i]
-            p_b = P[x, a_b, r, nxt]
-            p_m = P[x, a_m, r, nxt]
-            w_b = w_b * p_b
-            w_m = w_m * p_m
-            with np.errstate(all="ignore"):
-                denom = p_b * (1.0 - beta) + p_m * beta
-                step = (p_b != p_m) & (0.0 < beta) & (beta < 1.0) & (denom > MIN_MIXTURE)
-                beta = np.where(step, p_m * beta / denom, beta)
-            x = nxt
-    dead = (w_b == 0.0) & (w_m == 0.0)
-    t_r = np.where(dead, 0.0, (w_b * r_b_sum + w_m * r_m_sum) / T)
-    return (w_b * (u_b / T))[:, 0, :], (w_m * (u_m / T))[0], t_r
 
+    def __init__(self, tab: _Tables, enum: _Enumeration, x0: int):
+        P, US_b, US_m, UR_b, UR_m = tab.arrays
+        T = self.horizon = tab.horizon
+        nb, nr = len(enum.sender_branches), len(enum.receiver_branches)
+        self.shape = (nb, nb, nr)
+        self.sequences = enum.path_sequences
+        # the state at each step of each path, shaped to broadcast over the
+        # (path, benign sequence, malicious sequence, reaction sequence) grid
+        states = np.array([(x0, *path) for path in enum.paths])[:, :, None, None, None]
+        n_a, n_r = len(enum.alphabets.actions) ** T, len(enum.alphabets.reactions) ** T
+        grid = (len(enum.paths), n_a, n_a, n_r)
 
-def _value_matrices(tab, enum, pi, x0):
-    """Fill the sender value matrices and the receiver value tensor.
+        def grid_of(a):
+            # same-shape operands make the per-belief walk's numpy calls cheaper
+            out = np.empty(grid, np.asarray(a).dtype)
+            np.copyto(out, a)
+            return out
 
-    Per state path, one vectorised walk yields the terms of every sequence
-    triple, and each branch gathers the terms of the sequences it plays
-    along that path, one axis at a time so that only the last gather is as
-    large as the receiver tensor. Paths are added in enumeration order from
-    zero, as ``expected_utilities`` adds them, so every entry equals that
-    scalar oracle's value for the same profile bit for bit.
-    """
-    nb = len(enum.sender_branches)
-    nr = len(enum.receiver_branches)
-    V_b = np.zeros((nb, nr))
-    V_m = np.zeros((nb, nr))
-    V_r = np.zeros((nb, nb, nr))
-    for path, (seq_s, seq_r) in zip(enum.paths, enum.path_sequences):
-        t_b, t_m, t_r = _path_term_grids(tab, enum, x0, pi, path)
-        V_b += t_b.take(seq_s, 0).take(seq_r, 1)
-        V_m += t_m.take(seq_s, 0).take(seq_r, 1)
-        V_r += t_r.take(seq_s, 0).take(seq_s, 1).take(seq_r, 2)
-    return V_b, V_m, V_r
+        w_b = w_m = 1.0
+        u_b = u_m = 0.0
+        self.steps = []
+        for i, (a_b, a_m, r) in enumerate(enum.grid_steps):
+            x = states[:, i]
+            u_b = u_b + US_b[x, a_b, r]
+            u_m = u_m + US_m[x, a_m, r]
+            bayes = None
+            if i + 1 < T:
+                nxt = states[:, i + 1]
+                p_b = P[x, a_b, r, nxt]
+                p_m = P[x, a_m, r, nxt]
+                w_b = w_b * p_b
+                w_m = w_m * p_m
+                bayes = (grid_of(p_b), grid_of(p_m), grid_of(p_b != p_m))
+            self.steps.append((grid_of(UR_b[x, a_b, r]), grid_of(UR_m[x, a_m, r]), bayes))
+        self.w_b, self.w_m = grid_of(w_b), grid_of(w_m)
+        self.dead = (self.w_b == 0.0) & (self.w_m == 0.0)
+        t_b = w_b * (u_b / T)
+        t_m = w_m * (u_m / T)
+        self.V_b = np.zeros((nb, nr))
+        self.V_m = np.zeros((nb, nr))
+        for p, (seq_s, seq_r) in enumerate(self.sequences):
+            self.V_b += t_b[p, :, 0].take(seq_s, 0).take(seq_r, 1)
+            self.V_m += t_m[p, 0].take(seq_s, 0).take(seq_r, 1)
+        self.gain_b = (self.V_b.max(axis=0) - self.V_b)[:, None, :]
+        self.gain_m = (self.V_m.max(axis=0) - self.V_m)[None, :, :]
 
+    def scan(self, pi: float):
+        """Value every joint profile at belief ``pi``; find the first of least regret.
 
-def _scan(tab, enum, pi, x0):
-    """Value every joint profile and find the first of least regret.
-
-    Regret is the larger sender deviation gain where the receiver branch is
-    a best response, and infinite elsewhere. Zero regret is a pure
-    equilibrium; with none, the first minimizer is the defender-anchored
-    fallback. Returns the value tensors, the regret tensor and that profile.
-    """
-    V_b, V_m, V_r = _value_matrices(tab, enum, pi, x0)
-    regret = np.full(V_r.shape, np.inf)
-    np.maximum(
-        (V_b.max(axis=0) - V_b)[:, None, :],
-        (V_m.max(axis=0) - V_m)[None, :, :],
-        out=regret,
-        where=V_r >= V_r.max(axis=2, keepdims=True),
-    )
-    first = np.unravel_index(int(np.argmin(regret)), regret.shape)
-    return (V_b, V_m, V_r), regret, tuple(int(i) for i in first)
+        Regret is the larger sender deviation gain where the receiver branch
+        is a best response, and infinite elsewhere. Zero regret is a pure
+        equilibrium; with none, the first minimizer is the defender-anchored
+        fallback. Returns the receiver tensor, the regret tensor and that
+        profile.
+        """
+        beta = pi
+        r_b_sum = r_m_sum = 0.0
+        for g_b, g_m, bayes in self.steps:
+            r_b_sum = r_b_sum + g_b * (1.0 - beta)
+            r_m_sum = r_m_sum + g_m * beta
+            if bayes is not None:
+                p_b, p_m, moves = bayes
+                with np.errstate(all="ignore"):
+                    denom = p_b * (1.0 - beta) + p_m * beta
+                    step = moves & (0.0 < beta) & (beta < 1.0) & (denom > MIN_MIXTURE)
+                    beta = np.where(step, p_m * beta / denom, beta)
+        t_r = np.where(self.dead, 0.0, (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon)
+        V_r = np.zeros(self.shape)
+        for t, (seq_s, seq_r) in zip(t_r, self.sequences):
+            V_r += t.take(seq_s, 0).take(seq_s, 1).take(seq_r, 2)
+        regret = np.full(self.shape, np.inf)
+        np.maximum(
+            self.gain_b,
+            self.gain_m,
+            out=regret,
+            where=V_r >= V_r.max(axis=2, keepdims=True),
+        )
+        first = np.unravel_index(int(np.argmin(regret)), self.shape)
+        return V_r, regret, tuple(int(i) for i in first)
 
 
 def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> EquilibriumResult:
@@ -390,11 +414,9 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     the defender-anchored fallback profile and its least regret, which is
     positive and so certifies non-existence.
     """
-    tab = _Tables(scenario)
     enum = _Enumeration(scenario.alphabets, scenario.horizon)
-    (V_b, V_m, V_r), regret, (ib, im, ir) = _scan(
-        tab, enum, belief.pi_m, scenario.alphabets.state_index(x_now)
-    )
+    window = _WindowScan(_Tables(scenario), enum, scenario.alphabets.state_index(x_now))
+    V_r, regret, (ib, im, ir) = window.scan(belief.pi_m)
     least = float(regret[ib, im, ir])
     if least > 0.0:
         raise NoPureEquilibriumError(
@@ -405,8 +427,8 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
         )
     return EquilibriumResult(
         profile=enum.profile(ib, im, ir),
-        sender_value_benign=float(V_b[ib, ir]),
-        sender_value_malicious=float(V_m[im, ir]),
+        sender_value_benign=float(window.V_b[ib, ir]),
+        sender_value_malicious=float(window.V_m[im, ir]),
         receiver_value=float(V_r[ib, im, ir]),
         multiplicity=int(np.count_nonzero(regret == 0.0)),
     )
@@ -416,10 +438,13 @@ class RecedingHorizonPolicy:
     """Per-step decision rule: solve the window at (belief, state), keep roots.
 
     Results are memoized on the exact (belief, state) pair; the belief key is
-    the full double, no quantization. The roots are those of the first
-    least-regret profile: the first pure equilibrium when one exists, else
-    the defender-anchored fallback (receiver exactly best-responding, sender
-    regret minimized) that ``solve_bne`` attaches to its error.
+    the full double, no quantization. The belief-free half of each state's
+    window (path weights, sender values and deviation gains) is built once,
+    on the first ``decide`` at that state, and a new belief re-runs only the
+    receiver pass. The roots are those of the first least-regret profile: the
+    first pure equilibrium when one exists, else the defender-anchored
+    fallback (receiver exactly best-responding, sender regret minimized) that
+    ``solve_bne`` attaches to its error.
     """
 
     def __init__(self, scenario: Scenario):
@@ -431,6 +456,7 @@ class RecedingHorizonPolicy:
         self._sender_roots = [al.actions[b[0]] for b in self._enum.sender_branches]
         self._receiver_roots = [al.reactions[b[0]] for b in self._enum.receiver_branches]
         self._x_index: Callable[[str], int] = al.state_index
+        self._windows: dict[str, _WindowScan] = {}
         self._cache: dict[tuple[float, str], tuple[str, str, str]] = {}
 
     def decide(self, pi_m: float, state: str) -> tuple[str, str, str]:
@@ -438,7 +464,11 @@ class RecedingHorizonPolicy:
         key = (pi_m, state)
         roots = self._cache.get(key)
         if roots is None:
-            _, _, (ib, im, ir) = _scan(self._tables, self._enum, pi_m, self._x_index(state))
+            window = self._windows.get(state)
+            if window is None:
+                window = _WindowScan(self._tables, self._enum, self._x_index(state))
+                self._windows[state] = window
+            _, _, (ib, im, ir) = window.scan(pi_m)
             roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
             self._cache[key] = roots
         return roots

@@ -95,6 +95,16 @@ class TestBatchAndDiagnoseCommands:
             assert report["classification"] in ("F_TO_ONE", "PI_TO_ZERO", "UNDECIDED")
 
 
+    def test_short_trajectory_error_names_file(self, table1_path, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        args = ["simulate", "--config", table1_path, "--steps", "10", "--out", str(short)]
+        assert main(args) == 0
+        assert main(["diagnose", "--in", str(short), "--window", "20"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {short}: " in err
+        assert "shorter than window 20" in err
+
+
 class TestAppendixACommand:
     def test_prints_closed_form_value(self, capsys):
         assert main(["appendix-a", "--p", "0.25", "--k", "1", "--prior", "0.1"]) == 0

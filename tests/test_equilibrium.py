@@ -14,7 +14,7 @@ from siggame.equilibrium import (
     StrategyTree,
     _Enumeration,
     _Tables,
-    _value_matrices,
+    _WindowScan,
     enumerate_strategy_trees,
     expected_utilities,
     joint_profile_count,
@@ -29,6 +29,7 @@ from siggame.model import (
     TransitionKernel,
     UtilityTables,
 )
+from siggame.simulate import run_batch
 
 
 def one_step_profile(action_b, action_m, reaction):
@@ -278,16 +279,12 @@ _SHAPES = {
 }
 
 
-@st.composite
-def random_windows(draw):
-    """A random scenario with a (belief, state) point to solve it at.
+def random_scenario(al, horizon, rng):
+    """A scenario over ``al`` with kernel rows and utilities drawn from ``rng``.
 
     Kernel rows come from small integer weights, so zero probabilities
     (vanishing paths) and equal likelihoods under both actions are common.
     """
-    horizon = draw(st.sampled_from(sorted(_SHAPES)))
-    al = _labelled_alphabets(*draw(st.sampled_from(_SHAPES[horizon])))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = {}
     for key in itertools.product(al.states, al.actions, al.reactions):
         weights = rng.integers(0, 3, size=len(al.states)).astype(float)
@@ -299,7 +296,7 @@ def random_windows(draw):
         sender={k: float(rng.uniform(-5, 5)) for k in keys},
         receiver={k: float(rng.uniform(-5, 5)) for k in keys},
     )
-    scenario = Scenario(
+    return Scenario(
         alphabets=al,
         kernel=TransitionKernel(alphabets=al, table=table),
         utilities=utilities,
@@ -308,29 +305,51 @@ def random_windows(draw):
         true_type=MALICIOUS,
         horizon=horizon,
     )
-    pi = draw(st.one_of(st.sampled_from([0.0, 1.0, 1e-300]), st.floats(0.0, 1.0)))
-    state = draw(st.sampled_from(al.states))
-    return scenario, pi, state, rng
+
+
+beliefs = st.one_of(st.sampled_from([0.0, 1.0, 1e-300]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def random_windows(draw):
+    """A ``random_scenario`` with a (belief, state) point to solve it at."""
+    horizon = draw(st.sampled_from(sorted(_SHAPES)))
+    al = _labelled_alphabets(*draw(st.sampled_from(_SHAPES[horizon])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenario = random_scenario(al, horizon, rng)
+    return scenario, draw(beliefs), draw(st.sampled_from(al.states)), rng
 
 
 class TestValueMatricesAgainstOracle:
     """The solver's vectorised value path against ``expected_utilities``."""
 
     @settings(max_examples=60, deadline=None)
-    @given(random_windows())
-    def test_entries_equal_oracle(self, window):
-        scenario, pi, state, rng = window
+    @given(random_windows(), beliefs)
+    def test_entries_equal_oracle(self, drawn, other_pi):
+        scenario, pi, state, rng = drawn
         al = scenario.alphabets
         enum = _Enumeration(al, scenario.horizon)
-        V_b, V_m, V_r = _value_matrices(_Tables(scenario), enum, pi, al.state_index(state))
-        nb, nr = V_b.shape
+        x0 = al.state_index(state)
+        window = _WindowScan(_Tables(scenario), enum, x0)
+        nb, nr = window.V_b.shape
         picks = [(0, 0, 0), (nb - 1, nb - 1, nr - 1)] + [
             (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(12)
         ]
-        # both paths add the same float terms in the same order: exact equality
-        for ib, im, ir in picks:
-            oracle = expected_utilities(scenario, enum.profile(ib, im, ir), BeliefState(pi), state)
-            assert (V_b[ib, ir], V_m[im, ir], V_r[ib, im, ir]) == oracle
+        # one object, two beliefs: only the receiver pass is re-run, and both
+        # paths add the same float terms in the same order: exact equality
+        for belief in (pi, other_pi):
+            V_r, _, _ = window.scan(belief)
+            for ib, im, ir in picks:
+                oracle = expected_utilities(
+                    scenario, enum.profile(ib, im, ir), BeliefState(belief), state
+                )
+                assert (window.V_b[ib, ir], window.V_m[im, ir], V_r[ib, im, ir]) == oracle
+        # the reused object has scanned two beliefs; a fresh one agrees at the second
+        fresh = _WindowScan(_Tables(scenario), enum, x0).scan(other_pi)
+        reused = window.scan(other_pi)
+        assert np.array_equal(reused[0], fresh[0])
+        assert np.array_equal(reused[1], fresh[1])
+        assert reused[2] == fresh[2]
 
     def test_horizon_three_solve_matches_oracle(self, table1):
         scenario = _with_horizon(table1, 3)
@@ -436,3 +455,31 @@ class TestRecedingHorizonPolicy:
     def test_fallback_resolves_gap(self, table1):
         policy = RecedingHorizonPolicy(table1)
         assert policy.decide(0.35, "x_n") == ("a_b", "a_b", "r_b")
+
+    def test_narrow_region_inside_one_bracket_cell(self):
+        # ("a0", "a1", "r1") holds on about [0.16225, 0.16828), strictly inside
+        # the 40-cell bracket cell [0.15, 0.175) whose ends both play
+        # ("a1", "a1", "r0"): a table compiled from cell ends misses it
+        scenario = random_scenario(_labelled_alphabets(2, 2, 2), 2, np.random.default_rng(1))
+        policy = RecedingHorizonPolicy(scenario)
+        assert policy.decide(0.15, "x0") == ("a1", "a1", "r0")
+        assert policy.decide(0.165, "x0") == ("a0", "a1", "r1")
+        assert policy.decide(0.175, "x0") == ("a1", "a1", "r0")
+
+    def test_batch_decisions_equal_fresh_solves(self, table4):
+        # one policy serves the whole serial batch, reusing each state's window
+        scenario = _with_horizon(table4, 2)
+        _, trajectories = run_batch(scenario, 20, scenario.base_seed)
+        decisions = {}
+        for traj in trajectories:
+            before = [traj.prior] + traj.beliefs[:-1]
+            played = zip(traj.actions_benign, traj.actions_malicious, traj.reactions)
+            for key, roots in zip(zip(before, traj.states), played):
+                assert decisions.setdefault(key, roots) == roots
+        assert len(decisions) > 100
+        for (pi, state), roots in decisions.items():
+            try:
+                profile = solve_bne(scenario, BeliefState(pi), state).profile
+            except NoPureEquilibriumError as err:
+                profile = err.fallback_profile
+            assert profile.root_prescriptions() == roots
