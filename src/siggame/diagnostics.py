@@ -93,7 +93,11 @@ def convergence_report(
     beliefs = trajectory.beliefs
     coefficients = trajectory.coefficients
     if len(beliefs) <= window:
-        raise ValueError(f"trajectory of {len(beliefs)} steps is shorter than window {window}")
+        # the oscillation spans window + 1 beliefs
+        raise ValueError(
+            f"trajectory of {len(beliefs)} steps is too short for window {window}: "
+            f"needs at least {window + 1}"
+        )
     tail = beliefs[-window:]
     limit = math.fsum(tail) / window
     span = beliefs[-(window + 1):]

@@ -24,6 +24,15 @@ only the receiver pass and the regret scan. ``expected_utilities`` values a
 single profile with a separate scalar walk and serves as the independent
 oracle; both add the same terms in the same order, so they agree bit for bit.
 
+The receding-horizon policy scans only where it has not proven the answer.
+The scan's choice is the first profile, in a belief-free order by regret,
+whose receiver branch is a best response, and the belief moves the receiver
+values only. Bayes' rule is monotone in the belief, so running the walk from
+both ends of a belief interval bounds every receiver term over it. From those
+bounds, path by path, ``_WindowScan.certifier`` proves that the choice stays
+a best response and that no earlier profile becomes one. Each state keeps the
+intervals proven so far, and a belief inside one is answered by a bisect.
+
 Tie-breaking is lexicographic in enumeration order: trees are enumerated by
 assigning labels (in alphabet order) to nodes ordered by depth then state
 order, and joint profiles are scanned as (benign tree, malicious tree,
@@ -34,7 +43,11 @@ equilibria is reported; multiplicity is never collapsed silently.
 from __future__ import annotations
 
 import itertools
+import logging
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -44,6 +57,12 @@ from .model import BENIGN, MALICIOUS, Alphabets, Scenario
 
 # Refuse exhaustive scans beyond this many joint profiles.
 JOINT_PROFILE_LIMIT = 10_000_000
+
+# A certified interval reaches at least this far to one side of its scanned
+# belief; beliefs closer than that to a region edge on both sides are not stored.
+MIN_REACH = 2.0**-20
+
+_log = logging.getLogger(__name__)
 
 
 class EnumerationLimitError(ValueError):
@@ -400,6 +419,174 @@ class _WindowScan:
         first = np.unravel_index(int(np.argmin(regret)), self.shape)
         return V_r, regret, tuple(int(i) for i in first)
 
+    @cached_property
+    def _ranking(self):
+        """The belief-free scan order and each profile's place in it.
+
+        Profiles are sorted by (regret were the receiver best-responding,
+        flat index), so ``scan`` picks, at any belief, the first profile in
+        this order whose receiver branch is a best response.
+        """
+        order = np.argsort(np.maximum(self.gain_b, self.gain_m), axis=None, kind="stable")
+        order = order.astype(np.int32)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        return order, rank
+
+    @cached_property
+    def _classes(self):
+        """Class of each grid cell. A cell's receiver term is a function of
+        the belief and of its receiver utilities and likelihoods at every
+        step (its weights and Bayes steps follow from those), so cells with
+        equal inputs give bit-identical terms at every belief. Dead cells,
+        whose term is 0, share class -1."""
+        inputs = [g for g_b, g_m, bayes in self.steps for g in (g_b, g_m, *(bayes or ())[:2])]
+        rows = np.stack([g.ravel() for g in inputs], axis=1)
+        classes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(self.dead.shape)
+        classes[self.dead] = -1
+        return classes
+
+    @cached_property
+    def _margin(self):
+        """How far below zero a proven value difference must lie.
+
+        1e-9 of the largest receiver value a profile can have absorbs the
+        rounding of the value sums. The float walk can also move a belief by
+        its rounding times the largest likelihood ratio per Bayes step, so
+        the margin grows by that ratio to the power of the step count.
+        """
+        scale = max(float(np.abs(g).max()) for g_b, g_m, _ in self.steps for g in (g_b, g_m))
+        ratio = 1.0
+        for _, _, bayes in self.steps[:-1]:
+            p_b, p_m, moves = bayes
+            both = moves & (p_b > 0.0) & (p_m > 0.0)
+            if both.any():
+                big, small = np.maximum(p_b, p_m)[both], np.minimum(p_b, p_m)[both]
+                ratio = max(ratio, float((big / small).max()))
+        return 1e-9 * scale * len(self.sequences) * ratio ** (self.horizon - 1)
+
+    @cached_property
+    def _linear_walk(self):
+        """The receiver term of each cell as an intercept plus, per step, a
+        slope times that step's belief, both divided by the horizon and 0 on
+        dead cells; and per Bayes step its likelihood grids and the live
+        moving cells whose mixture can come near ``MIN_MIXTURE`` (None if
+        there are none)."""
+        keep = np.where(self.dead, 0.0, 1.0 / self.horizon)
+        intercept = keep * sum(self.w_b * g_b for g_b, _, _ in self.steps)
+        walk = []
+        for g_b, g_m, bayes in self.steps:
+            slope = keep * (self.w_m * g_m - self.w_b * g_b)
+            if bayes is not None:
+                p_b, p_m, moves = bayes
+                risky = moves & ~self.dead & (np.minimum(p_b, p_m) <= 2.0 * MIN_MIXTURE)
+                bayes = (p_b, p_m, moves, risky if risky.any() else None)
+            walk.append((slope, bayes))
+        return intercept, walk
+
+    def _term_bounds(self, lo: float, hi: float):
+        """Per-cell lower and upper receiver terms over the beliefs in [lo, hi].
+
+        Runs ``scan``'s belief walk from both ends at once. Bayes' rule is
+        nondecreasing in the belief, so while the mixture guard cannot
+        switch, each cell's belief at each step stays between the two walks,
+        and each step's term is linear in it. Returns None where a live
+        cell's mixture comes within a factor 2 of ``MIN_MIXTURE`` at either
+        end, as the guard could then switch inside the interval.
+        """
+        intercept, walk = self._linear_walk
+        beta = np.array([lo, hi])[:, None, None, None, None]
+        lower = upper = intercept
+        for slope, bayes in walk:
+            term = slope * beta
+            lower = lower + term.min(axis=0)
+            upper = upper + term.max(axis=0)
+            if bayes is not None:
+                p_b, p_m, moves, risky = bayes
+                denom = p_b * (1.0 - beta) + p_m * beta
+                if risky is not None and np.any(denom[:, risky] <= 2.0 * MIN_MIXTURE):
+                    return None
+                # at belief 0 or 1 a vanishing mixture keeps the belief, as in ``scan``
+                with np.errstate(all="ignore"):
+                    beta = np.where(moves & (denom > 0.0), p_m * beta / denom, beta)
+        return lower, upper
+
+    @cached_property
+    def _path_sequences(self):
+        """``sequences`` as two arrays: (path, sender branch) and (path, receiver branch)."""
+        return tuple(np.array(seqs) for seqs in zip(*self.sequences))
+
+    def _cells(self, ib, im, r_x, r_y):
+        """Flat grid cells, one row per path, of receiver branches ``r_x``
+        and ``r_y`` against the sender pairs (``ib``, ``im``), and where the
+        two cells' classes differ. All four are index arrays of one length."""
+        n_paths, n_a, _, n_r = self.dead.shape
+        seq_s, seq_r = self._path_sequences
+        base = ((np.arange(n_paths)[:, None] * n_a + seq_s[:, ib]) * n_a + seq_s[:, im]) * n_r
+        x, y = base + seq_r[:, r_x], base + seq_r[:, r_y]
+        classes = self._classes.ravel()
+        return x, y, classes[x] != classes[y]
+
+    def certifier(self, V_r, choice) -> Callable[[float, float], bool] | None:
+        """A test of whether ``scan`` picks ``choice`` at every belief of an
+        interval; ``V_r`` and ``choice`` are ``scan``'s output at a belief
+        inside every interval tested. None if a value difference that the
+        test needs is within the margin already at that belief.
+
+        Each value difference is bounded path by path from ``_term_bounds``,
+        and a path on which both profiles land in one cell class adds exactly
+        0. The test proves, with ``_margin`` to spare:
+
+        (a) ``choice`` stays a receiver best response: against its sender
+            pair every other receiver branch is worth less, or the same on
+            every path;
+        (b) no earlier profile in the belief-free scan order becomes one:
+            each is worth less than the receiver branch that is best against
+            its pair at the scanned belief. A profile whose gap at the
+            scanned belief exceeds twice the largest drift of a value over
+            the interval needs no path-by-path bound.
+        """
+        nb, _, nr = self.shape
+        ib, im, ir = choice
+        order, rank = self._ranking
+        earlier = order[: rank[(ib * nb + im) * nr + ir]]
+        pairs = earlier // nr
+        by_pair = V_r.reshape(-1, nr)
+        best = by_pair.argmax(axis=1)
+        gaps = by_pair[np.arange(len(best)), best][pairs] - V_r.ravel()[earlier]
+        rivals = np.delete(np.arange(nr), ir)
+        rival_cells = self._cells(
+            np.full_like(rivals, ib), np.full_like(rivals, im), rivals, np.full_like(rivals, ir)
+        )
+        rival_ties = ~rival_cells[2].any(axis=0)
+        margin = self._margin
+        near_tie = ~rival_ties & (V_r[ib, im, ir] - V_r[ib, im, rivals] <= margin)
+        if near_tie.any() or np.any(gaps <= margin):
+            return None  # then no interval around the scanned belief is provable
+        n_paths = len(self.sequences)
+
+        def upper(t_lo, t_hi, cells):
+            x, y, differ = cells
+            return np.where(differ, t_hi.ravel()[x] - t_lo.ravel()[y], 0.0).sum(axis=0)
+
+        def proves(lo: float, hi: float) -> bool:
+            bounds = self._term_bounds(lo, hi)
+            if bounds is None:
+                return False
+            t_lo, t_hi = bounds
+            if not np.all(rival_ties | (upper(t_lo, t_hi, rival_cells) <= -margin)):
+                return False
+            drift = float((t_hi - t_lo).reshape(n_paths, -1).max(axis=1).sum())
+            close = np.flatnonzero(gaps <= 2.0 * drift + margin)
+            if close.size:
+                e, pair = earlier[close], pairs[close]
+                cells = self._cells(pair // nb, pair % nb, e % nr, best[pair])
+                if not np.all(upper(t_lo, t_hi, cells) <= -margin):
+                    return False
+            return True
+
+        return proves
+
 
 def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> EquilibriumResult:
     """Scan all joint pure profiles for a mutual best response.
@@ -434,17 +621,68 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     )
 
 
+class _RegionTable:
+    """One state's window and its certified belief intervals.
+
+    Interval k covers [edges[2k], edges[2k + 1]) and plays roots[2k + 1] with
+    least regret regrets[2k + 1]; the gaps between intervals hold None, so a
+    lookup is one bisect and one list index.
+    """
+
+    __slots__ = ("window", "edges", "roots", "regrets")
+
+    def __init__(self, window: _WindowScan):
+        self.window = window
+        self.edges: list[float] = []
+        self.roots: list[tuple[str, str, str] | None] = [None]
+        self.regrets: list[float | None] = [None]
+
+    def gap(self, pi: float) -> tuple[float, float]:
+        """First and last double of the uncovered stretch of (0, 1) around ``pi``."""
+        edges = self.edges
+        i = bisect_right(edges, pi)
+        lo = edges[i - 1] if i else math.ulp(0.0)
+        hi = math.nextafter(edges[i] if i < len(edges) else 1.0, 0.0)
+        return lo, hi
+
+    def insert(self, lo: float, hi: float, roots: tuple[str, str, str], regret: float) -> None:
+        """Cover [lo, hi], which lies in one gap, merging it into a touching
+        interval with the same roots and regret."""
+        end = math.nextafter(hi, 2.0)
+        i = bisect_right(self.edges, lo)
+        self.edges[i:i] = [lo, end]
+        self.roots[i : i + 1] = [None, roots, None]
+        self.regrets[i : i + 1] = [None, regret, None]
+        for j in (i + 1, i - 1):  # the right neighbour, then the left one
+            if 0 < j < len(self.edges) - 1 and self.edges[j] == self.edges[j + 1]:
+                if (self.roots[j], self.regrets[j]) == (self.roots[j + 2], self.regrets[j + 2]):
+                    del self.edges[j : j + 2]
+                    del self.roots[j + 1 : j + 3]
+                    del self.regrets[j + 1 : j + 3]
+
+
 class RecedingHorizonPolicy:
     """Per-step decision rule: solve the window at (belief, state), keep roots.
 
-    Results are memoized on the exact (belief, state) pair; the belief key is
-    the full double, no quantization. The belief-free half of each state's
-    window (path weights, sender values and deviation gains) is built once,
-    on the first ``decide`` at that state, and a new belief re-runs only the
-    receiver pass. The roots are those of the first least-regret profile: the
-    first pure equilibrium when one exists, else the defender-anchored
-    fallback (receiver exactly best-responding, sender regret minimized) that
+    The roots are those of the first least-regret profile: the first pure
+    equilibrium when one exists, else the defender-anchored fallback
+    (receiver exactly best-responding, sender regret minimized) that
     ``solve_bne`` attaches to its error.
+
+    Each state keeps a table of belief intervals on which ``_WindowScan.scan``
+    is proven to pick one profile, filled in as ``decide`` is called. A belief
+    inside a stored interval is answered by a bisect. Any other belief is
+    scanned: the belief-free half of the state's window is built on the first
+    scan there, and each scan re-runs only the receiver pass. The scan then
+    tries to prove its choice on the whole uncovered stretch around the
+    belief, then on each side alone, halving a side's reach on failure until
+    it is below ``MIN_REACH``. A proven interval is stored; beliefs 0 and 1,
+    and beliefs that no interval of that reach covers, are answered by their
+    own scan and not stored, so the tables stay bounded.
+
+    ``counts`` tallies scans, proofs tried and accepted, and scanned beliefs
+    left uncovered. Each stored interval is logged at DEBUG level on the
+    ``siggame.equilibrium`` logger.
     """
 
     def __init__(self, scenario: Scenario):
@@ -456,19 +694,62 @@ class RecedingHorizonPolicy:
         self._sender_roots = [al.actions[b[0]] for b in self._enum.sender_branches]
         self._receiver_roots = [al.reactions[b[0]] for b in self._enum.receiver_branches]
         self._x_index: Callable[[str], int] = al.state_index
-        self._windows: dict[str, _WindowScan] = {}
-        self._cache: dict[tuple[float, str], tuple[str, str, str]] = {}
+        self._regions: dict[str, _RegionTable] = {}
+        self.counts = dict.fromkeys(("scans", "proofs_tried", "proofs_accepted", "uncovered"), 0)
 
     def decide(self, pi_m: float, state: str) -> tuple[str, str, str]:
         """Root prescriptions (benign action, malicious action, reaction)."""
-        key = (pi_m, state)
-        roots = self._cache.get(key)
-        if roots is None:
-            window = self._windows.get(state)
-            if window is None:
-                window = _WindowScan(self._tables, self._enum, self._x_index(state))
-                self._windows[state] = window
-            _, _, (ib, im, ir) = window.scan(pi_m)
-            roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
-            self._cache[key] = roots
+        table = self._regions.get(state)
+        if table is not None:
+            roots = table.roots[bisect_right(table.edges, pi_m)]
+            if roots is not None:
+                return roots
+        return self._scan(pi_m, state)
+
+    def _scan(self, pi_m: float, state: str) -> tuple[str, str, str]:
+        table = self._regions.get(state)
+        if table is None:
+            table = _RegionTable(_WindowScan(self._tables, self._enum, self._x_index(state)))
+            self._regions[state] = table
+        V_r, regret, (ib, im, ir) = table.window.scan(pi_m)
+        self.counts["scans"] += 1
+        roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
+        covered = self._certify(table, V_r, (ib, im, ir), pi_m) if 0.0 < pi_m < 1.0 else None
+        if covered is None:
+            self.counts["uncovered"] += 1
+        else:
+            least = float(regret[ib, im, ir])
+            table.insert(*covered, roots, least)
+            _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *covered, roots, least)
         return roots
+
+    def _certify(self, table, V_r, choice, pi):
+        """The proven interval around ``pi`` in its uncovered stretch, or None."""
+        proves = table.window.certifier(V_r, choice)
+        if proves is None:
+            return None
+        counts = self.counts
+
+        def proven(lo, hi):
+            counts["proofs_tried"] += 1
+            ok = proves(lo, hi)
+            counts["proofs_accepted"] += ok
+            return ok
+
+        lo, hi = table.gap(pi)
+        if proven(lo, hi):
+            return lo, hi
+        left = right = pi
+        reach = pi - lo
+        while reach >= MIN_REACH:
+            if proven(max(lo, pi - reach), pi):
+                left = max(lo, pi - reach)
+                break
+            reach /= 2.0
+        reach = hi - pi
+        while reach >= MIN_REACH:
+            if proven(pi, min(hi, pi + reach)):
+                right = min(hi, pi + reach)
+                break
+            reach /= 2.0
+        return None if left == right else (left, right)

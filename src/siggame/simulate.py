@@ -99,8 +99,8 @@ def run_episode(
 ) -> Trajectory:
     """Simulate one episode of ``scenario.episode_length`` steps.
 
-    A shared policy may be passed to reuse its solve cache across episodes;
-    results do not depend on that reuse.
+    A shared policy may be passed to reuse its certified belief intervals
+    across episodes; results do not depend on that reuse.
     """
     if policy is None:
         policy = RecedingHorizonPolicy(scenario)

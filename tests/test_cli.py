@@ -102,7 +102,7 @@ class TestBatchAndDiagnoseCommands:
         assert main(["diagnose", "--in", str(short), "--window", "20"]) == 1
         err = capsys.readouterr().err
         assert f"error: {short}: " in err
-        assert "shorter than window 20" in err
+        assert "too short for window 20: needs at least 21" in err
 
 
 class TestAppendixACommand:

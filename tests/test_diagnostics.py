@@ -144,6 +144,14 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="window"):
             convergence_report(series_trajectory([0.5] * 10), window=20)
 
+    def test_trajectory_of_exactly_window_steps_rejected(self):
+        # the oscillation over the window needs the belief before it too
+        too_short = "20 steps is too short for window 20: needs at least 21"
+        with pytest.raises(ValueError, match=too_short):
+            convergence_report(series_trajectory([0.5] * 20), window=20)
+        report = convergence_report(series_trajectory([0.5] * 21), window=20)
+        assert report.oscillation == 0.0
+
     def test_table1_episode_classifies_f_to_one(self, table1):
         traj = run_episode(table1, seed=404)
         report = convergence_report(traj, window=20, tol=0.05)

@@ -1,4 +1,7 @@
 import itertools
+import logging
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from siggame.equilibrium import (
     RecedingHorizonPolicy,
     StrategyTree,
     _Enumeration,
+    _RegionTable,
     _Tables,
     _WindowScan,
     enumerate_strategy_trees,
@@ -29,7 +33,7 @@ from siggame.model import (
     TransitionKernel,
     UtilityTables,
 )
-from siggame.simulate import run_batch
+from siggame.simulate import derive_episode_seed, run_batch, run_episode
 
 
 def one_step_profile(action_b, action_m, reaction):
@@ -457,29 +461,149 @@ class TestRecedingHorizonPolicy:
         assert policy.decide(0.35, "x_n") == ("a_b", "a_b", "r_b")
 
     def test_narrow_region_inside_one_bracket_cell(self):
-        # ("a0", "a1", "r1") holds on about [0.16225, 0.16828), strictly inside
-        # the 40-cell bracket cell [0.15, 0.175) whose ends both play
-        # ("a1", "a1", "r0"): a table compiled from cell ends misses it
+        # ("a0", "a1", "r1") holds on [0.1622480228173348, 0.16827916664225406),
+        # strictly inside the 40-cell bracket cell [0.15, 0.175) whose ends
+        # both play ("a1", "a1", "r0"): a table compiled from cell ends misses it
         scenario = random_scenario(_labelled_alphabets(2, 2, 2), 2, np.random.default_rng(1))
+        inside, outside = ("a0", "a1", "r1"), ("a1", "a1", "r0")
+        lo, hi = 0.1622480228173348, 0.16827916664225406
         policy = RecedingHorizonPolicy(scenario)
-        assert policy.decide(0.15, "x0") == ("a1", "a1", "r0")
-        assert policy.decide(0.165, "x0") == ("a0", "a1", "r1")
-        assert policy.decide(0.175, "x0") == ("a1", "a1", "r0")
+        assert policy.decide(0.15, "x0") == outside
+        assert policy.decide(0.165, "x0") == inside
+        assert policy.decide(0.175, "x0") == outside
+        # the edges sit between adjacent doubles, asked after the table has
+        # grown around them and again of a fresh policy
+        for policy in (policy, RecedingHorizonPolicy(scenario)):
+            assert policy.decide(math.nextafter(lo, 0.0), "x0") == outside
+            assert policy.decide(lo, "x0") == inside
+            assert policy.decide(math.nextafter(hi, 0.0), "x0") == inside
+            assert policy.decide(hi, "x0") == outside
 
-    def test_batch_decisions_equal_fresh_solves(self, table4):
-        # one policy serves the whole serial batch, reusing each state's window
-        scenario = _with_horizon(table4, 2)
-        _, trajectories = run_batch(scenario, 20, scenario.base_seed)
-        decisions = {}
-        for traj in trajectories:
-            before = [traj.prior] + traj.beliefs[:-1]
-            played = zip(traj.actions_benign, traj.actions_malicious, traj.reactions)
-            for key, roots in zip(zip(before, traj.states), played):
-                assert decisions.setdefault(key, roots) == roots
-        assert len(decisions) > 100
-        for (pi, state), roots in decisions.items():
-            try:
-                profile = solve_bne(scenario, BeliefState(pi), state).profile
-            except NoPureEquilibriumError as err:
-                profile = err.fallback_profile
-            assert profile.root_prescriptions() == roots
+    def test_batch_decisions_equal_fresh_solves(self, table1, table4):
+        # one policy serves each whole serial batch; every (belief, state) it
+        # was asked is scanned again by a fresh window of that state, and the
+        # certified intervals leave few beliefs to scan
+        for scenario in (_with_horizon(table1, 2), _with_horizon(table4, 2)):
+            policy = RecedingHorizonPolicy(scenario)
+            decisions = {}
+            for i in range(100):
+                traj = run_episode(scenario, derive_episode_seed(scenario.base_seed, i), policy)
+                before = [traj.prior] + traj.beliefs[:-1]
+                played = zip(traj.actions_benign, traj.actions_malicious, traj.reactions)
+                for key, roots in zip(zip(before, traj.states), played):
+                    assert decisions.setdefault(key, roots) == roots
+            assert len(decisions) > 2000
+            scan_roots = _fresh_scan_roots(scenario)
+            for (pi, state), roots in decisions.items():
+                assert scan_roots(pi, state) == roots
+            assert policy.counts["scans"] < 100
+
+    def test_debug_logging_leaves_trajectories_unchanged(self, table1, caplog):
+        scenario = _with_horizon(table1, 2)
+        _, quiet = run_batch(scenario, 5, scenario.base_seed)
+        with caplog.at_level(logging.DEBUG, logger="siggame.equilibrium"):
+            _, logged = run_batch(scenario, 5, scenario.base_seed)
+        assert logged == quiet
+        stored = [r.getMessage() for r in caplog.records if r.name == "siggame.equilibrium"]
+        assert stored and all("plays" in line and "least regret" in line for line in stored)
+
+    def test_counters(self, table1):
+        policy = RecedingHorizonPolicy(table1)
+        assert set(policy.counts.values()) == {0}
+        policy.decide(0.1, "x_n")
+        policy.decide(0.1, "x_n")
+        policy.decide(0.0, "x_n")
+        counts = policy.counts
+        assert counts["scans"] == 2
+        assert counts["uncovered"] == 1  # belief 0 is scanned, never stored
+        assert 1 <= counts["proofs_accepted"] <= counts["proofs_tried"]
+
+
+def _fresh_scan_roots(scenario):
+    """Root labels of ``_WindowScan.scan`` on windows built apart from any
+    policy, one per state."""
+    al = scenario.alphabets
+    tables, enum = _Tables(scenario), _Enumeration(al, scenario.horizon)
+    windows = {}
+
+    def roots(pi, state):
+        if state not in windows:
+            windows[state] = _WindowScan(tables, enum, al.state_index(state))
+        _, _, (ib, im, ir) = windows[state].scan(pi)
+        b, m, r = enum.sender_branches[ib], enum.sender_branches[im], enum.receiver_branches[ir]
+        return al.actions[b[0]], al.actions[m[0]], al.reactions[r[0]]
+
+    return roots
+
+
+# horizon-1 and -2 shapes of at most 2**15 joint profiles, so that a fresh
+# scan per queried belief stays cheap
+_POLICY_SHAPES = {
+    horizon: [
+        shape
+        for shape in _SHAPES[horizon]
+        if joint_profile_count(_labelled_alphabets(*shape), horizon) <= 2**15
+    ]
+    for horizon in (1, 2)
+}
+
+
+@st.composite
+def policy_queries(draw):
+    """A ``random_scenario`` at horizon 1 or 2 and beliefs to ask its policy:
+    uniform draws, tight clusters and the endpoints."""
+    horizon = draw(st.sampled_from(sorted(_POLICY_SHAPES)))
+    al = _labelled_alphabets(*draw(st.sampled_from(_POLICY_SHAPES[horizon])))
+    scenario = random_scenario(al, horizon, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    uniform = draw(st.lists(st.floats(0.0, 1.0), max_size=40))
+    clusters = []
+    for centre, spread in draw(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([1e-3, 1e-7, 1e-13])), max_size=3)
+    ):
+        offsets = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=15))
+        clusters += [min(1.0, max(0.0, centre + spread * k)) for k in offsets]
+    return scenario, uniform + clusters + [0.0, 1.0, 1e-300]
+
+
+class TestRegionTable:
+    def test_gaps_lookups_and_merges(self):
+        def up(x):
+            return math.nextafter(x, 1.0)
+
+        def down(x):
+            return math.nextafter(x, 0.0)
+
+        table = _RegionTable(window=None)
+        a, b = ("a0", "a0", "r0"), ("a1", "a1", "r0")
+        assert table.gap(0.5) == (math.ulp(0.0), down(1.0))
+        table.insert(0.2, 0.3, a, 0.0)
+        assert table.gap(0.1) == (math.ulp(0.0), down(0.2))
+        assert table.gap(0.5) == (up(0.3), down(1.0))
+        table.insert(up(0.3), 0.4, a, 0.0)  # touches with equal roots and regret: merged
+        table.insert(0.1, down(0.2), b, 0.0)  # other roots: kept apart
+        table.insert(up(0.4), 0.5, a, 0.5)  # other regret: kept apart
+        assert table.edges == [0.1, 0.2, 0.2, up(0.4), up(0.4), up(0.5)]
+        assert table.regrets == [None, 0.0, None, 0.0, None, 0.5, None]
+        lookups = [down(0.1), 0.1, down(0.2), 0.2, 0.4, up(0.4), 0.5, up(0.5)]
+        expected = [None, b, b, a, a, a, a, None]
+        assert [table.roots[bisect_right(table.edges, pi)] for pi in lookups] == expected
+
+
+class TestCertifiedIntervals:
+    @settings(max_examples=40, deadline=None)
+    @given(policy_queries())
+    def test_answers_equal_fresh_scans(self, drawn):
+        scenario, queried = drawn
+        policy = RecedingHorizonPolicy(scenario)
+        scan_roots = _fresh_scan_roots(scenario)
+        states = scenario.alphabets.states
+        for pi in queried:
+            for state in states:
+                assert policy.decide(pi, state) == scan_roots(pi, state)
+        # the doubles on both sides of every stored interval end
+        for state, table in policy._regions.items():
+            for edge in list(table.edges):
+                for pi in (math.nextafter(edge, 0.0), edge):
+                    assert policy.decide(pi, state) == scan_roots(pi, state)
+        # beliefs 0 and 1 are never stored
+        assert policy.counts["uncovered"] >= 2 * len(states)
