@@ -12,9 +12,7 @@ from .beliefs import (
     BeliefState,
     InconsistentObservationError,
     LikelihoodPair,
-    bayes_coefficient,
     bayes_update,
-    type_conditional_likelihood,
 )
 from .diagnostics import (
     Classification,
@@ -32,7 +30,6 @@ from .equilibrium import (
     NoPureEquilibriumError,
     RecedingHorizonPolicy,
     StrategyTree,
-    enumerate_strategy_trees,
     expected_utilities,
     solve_bne,
 )
@@ -84,13 +81,11 @@ __all__ = [
     "UtilityTables",
     "ValidationReport",
     "agreement_series",
-    "bayes_coefficient",
     "bayes_update",
     "check_distinguishability",
     "convergence_report",
     "derive_episode_seed",
     "detection_averse_check",
-    "enumerate_strategy_trees",
     "expected_utilities",
     "kl_decay_estimate",
     "load_scenario",
@@ -104,7 +99,6 @@ __all__ = [
     "scenario_to_dict",
     "solve_bne",
     "submartingale_margin",
-    "type_conditional_likelihood",
     "validate_kernel",
     "write_batch",
     "write_trajectory",

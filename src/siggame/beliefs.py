@@ -10,13 +10,6 @@ silently invented one would corrupt every downstream diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-from .model import BENIGN, MALICIOUS
-
-if TYPE_CHECKING:
-    from .equilibrium import StrategyTree
-    from .model import Scenario
 
 # Below this mixed likelihood the update is treated as undefined.
 MIN_MIXTURE = 1e-300
@@ -82,7 +75,8 @@ def posterior_malicious(pi_m: float, p_b: float, p_m: float) -> float:
 
 
 def coefficient_value(pi_m: float, p_b: float, p_m: float, malicious: bool) -> float:
-    """Multiplicative Bayes factor for one hypothesized type."""
+    """Multiplicative Bayes factor for one hypothesized type: the updated
+    belief equals it times the current one on that type's coordinate."""
     denom = mixture_probability(pi_m, p_b, p_m)
     if denom <= MIN_MIXTURE:
         raise InconsistentObservationError(
@@ -101,39 +95,3 @@ def bayes_update(belief: BeliefState, lik: LikelihoodPair) -> BeliefState:
     is defined at all.
     """
     return BeliefState(posterior_malicious(belief.pi_m, lik.p_b, lik.p_m))
-
-
-def bayes_coefficient(belief: BeliefState, lik: LikelihoodPair, hat_type: str) -> float:
-    """Bayes factor f for ``hat_type``: the updated belief equals f times the
-    current one, coordinatewise."""
-    if hat_type not in (BENIGN, MALICIOUS):
-        raise ValueError(f"unknown type {hat_type!r}")
-    return coefficient_value(belief.pi_m, lik.p_b, lik.p_m, hat_type == MALICIOUS)
-
-
-def type_conditional_likelihood(
-    scenario: "Scenario",
-    profile: "StrategyTree",
-    history: Sequence[str],
-    x_next: str,
-) -> LikelihoodPair:
-    """Likelihood of ``x_next`` under each type's prescribed action.
-
-    ``history`` lists the states observed inside the current window, first
-    entry the window root. Past actions and reactions are pinned by the
-    profile, so the window history reduces to this state sequence: the profile
-    node is ``history[1:]`` and must lie strictly inside the tree depth.
-    """
-    if not history:
-        raise ValueError("history must contain at least the window root state")
-    node = tuple(history[1:])
-    if len(node) >= profile.depth:
-        raise ValueError(
-            f"history of length {len(history)} runs past a depth-{profile.depth} profile"
-        )
-    x_now = history[-1]
-    reaction = profile.receiver[node]
-    row_b = scenario.kernel.row(x_now, profile.sender[BENIGN][node], reaction)
-    row_m = scenario.kernel.row(x_now, profile.sender[MALICIOUS][node], reaction)
-    j = scenario.alphabets.state_index(x_next)
-    return LikelihoodPair(row_b[j], row_m[j])

@@ -15,14 +15,16 @@ by the belief trajectory, where the belief starts at the supplied value and is
 propagated by Bayes' rule under the candidate profile itself.
 
 The solver gets these values for all joint profiles at once from
-``_WindowScan``, built per root state: one numpy walk over every (state path,
-benign, malicious, reaction) label sequence, after which each branch gathers
-its sequence terms path by path. Only the receiver's values depend on the
-belief, so the walk is split there: the path weights, sender values and
+``_WindowScan``, built per root state: it reads the scenario's kernel and
+utility tables into index arrays, then runs one numpy walk over every (state
+path, benign, malicious, reaction) label sequence, after which each branch
+gathers its sequence terms path by path. Only the receiver's values depend on
+the belief, so the walk is split there: the path weights, sender values and
 sender deviation gains are built once per state, and each new belief re-runs
 only the receiver pass and the regret scan. ``expected_utilities`` values a
-single profile with a separate scalar walk and serves as the independent
-oracle; both add the same terms in the same order, so they agree bit for bit.
+single profile with a separate scalar walk over the scenario's label-keyed
+tables and serves as the independent oracle; both add the same terms in the
+same order, so they agree bit for bit.
 
 The receding-horizon policy scans only where it has not proven the answer.
 The scan's choice is the first profile, in a belief-free order by regret,
@@ -48,7 +50,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -111,68 +113,18 @@ class EquilibriumResult:
         return self.multiplicity > 1
 
 
-def window_nodes(states: Iterable[str], depth: int) -> list[tuple[str, ...]]:
-    """History nodes of a depth-``depth`` window, ordered by depth then state
-    order; the root (empty history) comes first."""
-    states = tuple(states)
-    nodes: list[tuple] = []
-    for d in range(depth):
-        nodes.extend(itertools.product(states, repeat=d))
-    return nodes
-
-
 def joint_profile_count(alphabets: Alphabets, horizon: int) -> int:
-    n_nodes = len(window_nodes(alphabets.states, horizon))
+    n_nodes = sum(len(alphabets.states) ** d for d in range(horizon))
     return (len(alphabets.actions) ** n_nodes) ** 2 * len(alphabets.reactions) ** n_nodes
 
 
-def enumerate_strategy_trees(
-    alphabets: Alphabets, horizon: int
-) -> tuple[dict[str, list[dict[tuple[str, ...], str]]], list[dict[tuple[str, ...], str]]]:
-    """Exhaustive, duplicate-free tree sets: one list of sender branches per
-    type and the list of receiver branches."""
-    enum = _Enumeration(alphabets, horizon)
-    sender = [enum.tree(branch, alphabets.actions) for branch in enum.sender_branches]
-    receiver = [enum.tree(branch, alphabets.reactions) for branch in enum.receiver_branches]
-    return {BENIGN: sender, MALICIOUS: list(sender)}, receiver
+def _path_terms(scenario, profile, pi, x0, path):
+    """Contribution of one state path under one joint profile.
 
-
-class _Tables:
-    """Index-form kernel and utility lookups for one scenario."""
-
-    def __init__(self, scenario: Scenario):
-        al = scenario.alphabets
-        self.horizon = scenario.horizon
-        self.n_states = len(al.states)
-        kernel = scenario.kernel
-        self.P = [
-            [
-                [list(kernel.row(x, a, r)) for r in al.reactions]
-                for a in al.actions
-            ]
-            for x in al.states
-        ]
-        def util(table, t):
-            return [
-                [[table[(t, x, a, r)] for r in al.reactions] for a in al.actions]
-                for x in al.states
-            ]
-
-        self.US_b = util(scenario.utilities.sender, BENIGN)
-        self.US_m = util(scenario.utilities.sender, MALICIOUS)
-        self.UR_b = util(scenario.utilities.receiver, BENIGN)
-        self.UR_m = util(scenario.utilities.receiver, MALICIOUS)
-        # The same floats as arrays, for the vectorised value path.
-        self.arrays = tuple(
-            np.array(t, dtype=float) for t in (self.P, self.US_b, self.US_m, self.UR_b, self.UR_m)
-        )
-
-
-def _path_terms(tab, x0, pi, path, seq_b, seq_m, seq_r):
-    """Contribution of one state path under one action/reaction assignment.
-
-    This scalar walk is the body of the ``expected_utilities`` oracle;
-    ``_WindowScan`` repeats it on whole sequence grids for the solver.
+    This scalar walk is the body of the ``expected_utilities`` oracle. It
+    reads the scenario's label-keyed kernel rows and utility tables, and the
+    profile's prescription at each node ``path[:i]``; ``_WindowScan`` repeats
+    it on whole sequence grids for the solver.
 
     Returns (w_b, mean_u_b, w_m, mean_u_m, receiver_term): the path weight and
     average sender utility per type, and the already-weighted receiver term.
@@ -180,25 +132,30 @@ def _path_terms(tab, x0, pi, path, seq_b, seq_m, seq_r):
     and a vanishing mixture with the belief strictly inside (0, 1) implies
     both weights are zero, so the frozen belief never touches the value.
     """
-    T = tab.horizon
-    P, US_b, US_m, UR_b, UR_m = tab.P, tab.US_b, tab.US_m, tab.UR_b, tab.UR_m
+    T = scenario.horizon
+    row, US, UR = scenario.kernel.row, scenario.utilities.sender, scenario.utilities.receiver
     w_b = w_m = 1.0
     beta = pi
     u_b = u_m = 0.0
     r_b_sum = r_m_sum = 0.0
     x = x0
     for i in range(T):
-        a_b = seq_b[i]
-        a_m = seq_m[i]
-        r = seq_r[i]
-        u_b += US_b[x][a_b][r]
-        u_m += US_m[x][a_m][r]
-        r_b_sum += UR_b[x][a_b][r] * (1.0 - beta)
-        r_m_sum += UR_m[x][a_m][r] * beta
+        node = path[:i]
+        try:
+            a_b = profile.sender[BENIGN][node]
+            a_m = profile.sender[MALICIOUS][node]
+            r = profile.receiver[node]
+        except KeyError:
+            raise ValueError(f"profile has no prescription at node {node}") from None
+        u_b += US[(BENIGN, x, a_b, r)]
+        u_m += US[(MALICIOUS, x, a_m, r)]
+        r_b_sum += UR[(BENIGN, x, a_b, r)] * (1.0 - beta)
+        r_m_sum += UR[(MALICIOUS, x, a_m, r)] * beta
         if i + 1 < T:
             nxt = path[i]
-            p_b = P[x][a_b][r][nxt]
-            p_m = P[x][a_m][r][nxt]
+            j = scenario.alphabets.state_index(nxt)
+            p_b = row(x, a_b, r)[j]
+            p_m = row(x, a_m, r)[j]
             w_b *= p_b
             w_m *= p_m
             if w_b == 0.0 and w_m == 0.0:
@@ -211,17 +168,6 @@ def _path_terms(tab, x0, pi, path, seq_b, seq_m, seq_r):
     return w_b, u_b / T, w_m, u_m / T, (w_b * r_b_sum + w_m * r_m_sum) / T
 
 
-def _profile_sequences(profile, alphabets, path_labels, horizon):
-    node_keys = [path_labels[:i] for i in range(horizon)]
-    try:
-        seq_b = tuple(alphabets.action_index(profile.sender[BENIGN][n]) for n in node_keys)
-        seq_m = tuple(alphabets.action_index(profile.sender[MALICIOUS][n]) for n in node_keys)
-        seq_r = tuple(alphabets.reaction_index(profile.receiver[n]) for n in node_keys)
-    except KeyError as missing:
-        raise ValueError(f"profile has no prescription at node {missing}") from None
-    return seq_b, seq_m, seq_r
-
-
 def expected_utilities(
     scenario: Scenario, profile: StrategyTree, belief: BeliefState, x_now: str
 ) -> tuple[float, float, float]:
@@ -231,21 +177,26 @@ def expected_utilities(
     ``x_now``; each sequence is weighted by its kernel probability under the
     type-specific actions, the averaging divisor is the horizon, and the
     receiver sum weights each step by the belief propagated along the path.
+    A state, action or reaction label outside the alphabets is a ValueError
+    that names it.
     """
     if profile.depth != scenario.horizon:
         raise ValueError(
             f"profile depth {profile.depth} does not match scenario horizon {scenario.horizon}"
         )
     al = scenario.alphabets
-    tab = _Tables(scenario)
-    x0 = al.state_index(x_now)
-    pi = belief.pi_m
-    T = scenario.horizon
+    # name a label outside the alphabets before a table lookup meets it
+    al.state_index(x_now)
+    for tree, index in (
+        (profile.sender[BENIGN], al.action_index),
+        (profile.sender[MALICIOUS], al.action_index),
+        (profile.receiver, al.reaction_index),
+    ):
+        for label in tree.values():
+            index(label)
     v_b = v_m = v_r = 0.0
-    for path in itertools.product(range(tab.n_states), repeat=T - 1):
-        labels = tuple(al.states[i] for i in path)
-        seq_b, seq_m, seq_r = _profile_sequences(profile, al, labels, T)
-        w_b, mean_b, w_m, mean_m, recv = _path_terms(tab, x0, pi, path, seq_b, seq_m, seq_r)
+    for path in itertools.product(al.states, repeat=scenario.horizon - 1):
+        w_b, mean_b, w_m, mean_m, recv = _path_terms(scenario, profile, belief.pi_m, x_now, path)
         v_b += w_b * mean_b
         v_m += w_m * mean_m
         v_r += recv
@@ -255,10 +206,11 @@ def expected_utilities(
 class _Enumeration:
     """Index-form tree sets plus per-path projections, reusable across solves.
 
-    Label sequences of length ``horizon`` are numbered in
-    ``itertools.product`` order. For every state path, ``path_sequences``
-    holds the number of the sequence each sender branch and each receiver
-    branch plays along that path.
+    History nodes are ordered by depth, then state order, with the root
+    first. Label sequences of length ``horizon`` are numbered in
+    ``itertools.product`` order. ``path_sequences`` holds two arrays,
+    indexed (state path, sender branch) and (state path, receiver branch), of
+    the number of the sequence each branch plays along that path.
     """
 
     def __init__(self, alphabets: Alphabets, horizon: int):
@@ -272,7 +224,7 @@ class _Enumeration:
         self.alphabets = alphabets
         self.horizon = horizon
         ns, na, nr = len(alphabets.states), len(alphabets.actions), len(alphabets.reactions)
-        self.nodes = window_nodes(range(ns), horizon)
+        self.nodes = [n for d in range(horizon) for n in itertools.product(range(ns), repeat=d)]
         self.label_nodes = [tuple(alphabets.states[i] for i in node) for node in self.nodes]
         node_pos = {node: i for i, node in enumerate(self.nodes)}
         n_nodes = len(self.nodes)
@@ -295,11 +247,12 @@ class _Enumeration:
 
         def sequences(branches, n_labels):
             place = n_labels ** np.arange(horizon - 1, -1, -1)
-            return np.array(branches)[:, path_pos] @ place
+            return np.ascontiguousarray((np.array(branches)[:, path_pos] @ place).T)
 
-        seq_s = sequences(self.sender_branches, na)
-        seq_r = sequences(self.receiver_branches, nr)
-        self.path_sequences = [(seq_s[:, p], seq_r[:, p]) for p in range(len(self.paths))]
+        self.path_sequences = (
+            sequences(self.sender_branches, na),
+            sequences(self.receiver_branches, nr),
+        )
 
     def tree(self, branch, labels) -> dict[tuple[str, ...], str]:
         """Label-form node -> label map of one index branch."""
@@ -328,27 +281,38 @@ class _WindowScan:
     gains. ``scan`` re-runs only the belief walk, the receiver gathers and the
     regret build.
 
-    The walk runs on grids indexed by (state path, benign sequence, malicious
-    sequence, reaction sequence) and repeats ``_path_terms`` op for op, in the
-    same order, so every entry equals that scalar oracle's value for the same
-    profile bit for bit. The scalar walk's early return on a vanishing path
-    becomes the ``dead`` mask on the receiver term; the sender terms there are
-    already zero, since both weights are. Each branch gathers the terms of the
-    sequences it plays along a path one axis at a time, so that only the last
-    gather is as large as the receiver tensor, and paths are added in
-    enumeration order from zero, as ``expected_utilities`` adds them.
+    The constructor reads the scenario's kernel rows and utility tables into
+    index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
+    and type. The walk runs on grids indexed by (state path, benign sequence,
+    malicious sequence, reaction sequence) and repeats ``_path_terms`` op for
+    op, in the same order, on the same floats, so every entry equals that
+    scalar oracle's value for the same profile bit for bit. The scalar walk's
+    early return on a vanishing path becomes the ``dead`` mask on the receiver
+    term; the sender terms there are already zero, since both weights are.
+    Each branch gathers the terms of the sequences it plays along a path one
+    axis at a time, so that only the last gather is as large as the receiver
+    tensor, and paths are added in enumeration order from zero, as
+    ``expected_utilities`` adds them.
     """
 
-    def __init__(self, tab: _Tables, enum: _Enumeration, x0: int):
-        P, US_b, US_m, UR_b, UR_m = tab.arrays
-        T = self.horizon = tab.horizon
+    def __init__(self, scenario: Scenario, enum: _Enumeration, x0: int):
+        al = scenario.alphabets
+        keys = list(itertools.product(al.states, al.actions, al.reactions))
+        shape = (len(al.states), len(al.actions), len(al.reactions))
+        P = np.array([scenario.kernel.row(*key) for key in keys]).reshape(*shape, -1)
+        US_b, US_m, UR_b, UR_m = (
+            np.array([table[(t, *key)] for key in keys]).reshape(shape)
+            for table in (scenario.utilities.sender, scenario.utilities.receiver)
+            for t in (BENIGN, MALICIOUS)
+        )
+        T = self.horizon = scenario.horizon
         nb, nr = len(enum.sender_branches), len(enum.receiver_branches)
         self.shape = (nb, nb, nr)
         self.sequences = enum.path_sequences
         # the state at each step of each path, shaped to broadcast over the
         # (path, benign sequence, malicious sequence, reaction sequence) grid
         states = np.array([(x0, *path) for path in enum.paths])[:, :, None, None, None]
-        n_a, n_r = len(enum.alphabets.actions) ** T, len(enum.alphabets.reactions) ** T
+        n_a, n_r = len(al.actions) ** T, len(al.reactions) ** T
         grid = (len(enum.paths), n_a, n_a, n_r)
 
         def grid_of(a):
@@ -379,7 +343,7 @@ class _WindowScan:
         t_m = w_m * (u_m / T)
         self.V_b = np.zeros((nb, nr))
         self.V_m = np.zeros((nb, nr))
-        for p, (seq_s, seq_r) in enumerate(self.sequences):
+        for p, (seq_s, seq_r) in enumerate(zip(*self.sequences)):
             self.V_b += t_b[p, :, 0].take(seq_s, 0).take(seq_r, 1)
             self.V_m += t_m[p, 0].take(seq_s, 0).take(seq_r, 1)
         self.gain_b = (self.V_b.max(axis=0) - self.V_b)[:, None, :]
@@ -407,7 +371,7 @@ class _WindowScan:
                     beta = np.where(step, p_m * beta / denom, beta)
         t_r = np.where(self.dead, 0.0, (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon)
         V_r = np.zeros(self.shape)
-        for t, (seq_s, seq_r) in zip(t_r, self.sequences):
+        for t, seq_s, seq_r in zip(t_r, *self.sequences):
             V_r += t.take(seq_s, 0).take(seq_s, 1).take(seq_r, 2)
         regret = np.full(self.shape, np.inf)
         np.maximum(
@@ -463,7 +427,7 @@ class _WindowScan:
             if both.any():
                 big, small = np.maximum(p_b, p_m)[both], np.minimum(p_b, p_m)[both]
                 ratio = max(ratio, float((big / small).max()))
-        return 1e-9 * scale * len(self.sequences) * ratio ** (self.horizon - 1)
+        return 1e-9 * scale * len(self.dead) * ratio ** (self.horizon - 1)
 
     @cached_property
     def _linear_walk(self):
@@ -511,17 +475,12 @@ class _WindowScan:
                     beta = np.where(moves & (denom > 0.0), p_m * beta / denom, beta)
         return lower, upper
 
-    @cached_property
-    def _path_sequences(self):
-        """``sequences`` as two arrays: (path, sender branch) and (path, receiver branch)."""
-        return tuple(np.array(seqs) for seqs in zip(*self.sequences))
-
     def _cells(self, ib, im, r_x, r_y):
         """Flat grid cells, one row per path, of receiver branches ``r_x``
         and ``r_y`` against the sender pairs (``ib``, ``im``), and where the
         two cells' classes differ. All four are index arrays of one length."""
         n_paths, n_a, _, n_r = self.dead.shape
-        seq_s, seq_r = self._path_sequences
+        seq_s, seq_r = self.sequences
         base = ((np.arange(n_paths)[:, None] * n_a + seq_s[:, ib]) * n_a + seq_s[:, im]) * n_r
         x, y = base + seq_r[:, r_x], base + seq_r[:, r_y]
         classes = self._classes.ravel()
@@ -563,7 +522,7 @@ class _WindowScan:
         near_tie = ~rival_ties & (V_r[ib, im, ir] - V_r[ib, im, rivals] <= margin)
         if near_tie.any() or np.any(gaps <= margin):
             return None  # then no interval around the scanned belief is provable
-        n_paths = len(self.sequences)
+        n_paths = len(self.dead)
 
         def upper(t_lo, t_hi, cells):
             x, y, differ = cells
@@ -602,7 +561,7 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     positive and so certifies non-existence.
     """
     enum = _Enumeration(scenario.alphabets, scenario.horizon)
-    window = _WindowScan(_Tables(scenario), enum, scenario.alphabets.state_index(x_now))
+    window = _WindowScan(scenario, enum, scenario.alphabets.state_index(x_now))
     V_r, regret, (ib, im, ir) = window.scan(belief.pi_m)
     least = float(regret[ib, im, ir])
     if least > 0.0:
@@ -687,7 +646,6 @@ class RecedingHorizonPolicy:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._tables = _Tables(scenario)
         self._enum = _Enumeration(scenario.alphabets, scenario.horizon)
         al = scenario.alphabets
         # a branch's first entry is its root label
@@ -709,7 +667,7 @@ class RecedingHorizonPolicy:
     def _scan(self, pi_m: float, state: str) -> tuple[str, str, str]:
         table = self._regions.get(state)
         if table is None:
-            table = _RegionTable(_WindowScan(self._tables, self._enum, self._x_index(state)))
+            table = _RegionTable(_WindowScan(self.scenario, self._enum, self._x_index(state)))
             self._regions[state] = table
         V_r, regret, (ib, im, ir) = table.window.scan(pi_m)
         self.counts["scans"] += 1

@@ -332,9 +332,10 @@ def _floats(
 def read_trajectory(path: str | Path) -> Trajectory:
     """Re-import an exported trajectory.
 
-    The CSV schema does not carry the true type or seed; the type is inferred
-    from the first step where the prescriptions disagree (the applied action
-    then identifies it) and left None when every step pools. Derived columns
+    The CSV schema does not carry the prior or seed, so both are None. The
+    true type is inferred from the first step where the prescriptions
+    disagree (the applied action then identifies it) and left None when every
+    step pools. Derived columns
     must equal their derivation and numbers lie in range, or a
     ``ValueError("<path>:<line>: ...")`` names the first offending row.
     """
@@ -354,8 +355,8 @@ def read_trajectory(path: str | Path) -> Trajectory:
     )
     traj = Trajectory(
         true_type=None,
-        prior=math.nan,
-        seed=0,
+        prior=None,
+        seed=None,
         states=states,
         actions_benign=a_b,
         actions_malicious=a_m,

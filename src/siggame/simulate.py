@@ -47,12 +47,13 @@ class Trajectory:
     observation, so beliefs[k] = coefficients[k] * beliefs[k-1] on the true
     type's coordinate. At an endpoint belief (0 or 1) the update is
     absorbing and the recorded factor is 1. The applied actions and the
-    agreement series are derived from the stored columns, not stored.
+    agreement series are derived from the stored columns, not stored. A
+    trajectory read back from CSV has no ``prior`` or ``seed`` (None).
     """
 
     true_type: str | None
-    prior: float
-    seed: int
+    prior: float | None
+    seed: int | None
     states: list[str] = field(default_factory=list)
     actions_benign: list[str] = field(default_factory=list)
     actions_malicious: list[str] = field(default_factory=list)

@@ -6,12 +6,9 @@ from siggame.beliefs import (
     BeliefState,
     InconsistentObservationError,
     LikelihoodPair,
-    bayes_coefficient,
     bayes_update,
-    type_conditional_likelihood,
+    coefficient_value,
 )
-from siggame.equilibrium import StrategyTree
-from siggame.model import BENIGN, MALICIOUS
 
 
 def exact_posterior(pi, p_b, p_m):
@@ -64,21 +61,16 @@ class TestBayesUpdate:
             assert up > pi > down
 
 
-class TestBayesCoefficient:
+class TestCoefficientValue:
     def test_pooled_likelihoods_give_unit_factor(self):
-        belief = BeliefState(0.3)
-        lik = LikelihoodPair(0.6, 0.6)
-        assert bayes_coefficient(belief, lik, BENIGN) == pytest.approx(1.0, abs=1e-15)
-        assert bayes_coefficient(belief, lik, MALICIOUS) == pytest.approx(1.0, abs=1e-15)
+        assert coefficient_value(0.3, 0.6, 0.6, malicious=False) == pytest.approx(1.0, abs=1e-15)
+        assert coefficient_value(0.3, 0.6, 0.6, malicious=True) == pytest.approx(1.0, abs=1e-15)
 
     def test_known_values(self):
-        belief, lik = BeliefState(0.1), LikelihoodPair(0.9, 0.8)
-        assert bayes_coefficient(belief, lik, MALICIOUS) == pytest.approx(0.8 / 0.89, abs=1e-12)
-        assert bayes_coefficient(belief, lik, BENIGN) == pytest.approx(0.9 / 0.89, abs=1e-12)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown type"):
-            bayes_coefficient(BeliefState(0.1), LikelihoodPair(0.5, 0.5), "other")
+        f_m = coefficient_value(0.1, 0.9, 0.8, malicious=True)
+        f_b = coefficient_value(0.1, 0.9, 0.8, malicious=False)
+        assert f_m == pytest.approx(0.8 / 0.89, abs=1e-12)
+        assert f_b == pytest.approx(0.9 / 0.89, abs=1e-12)
 
     def test_chain_rule_against_update(self):
         # f * pi must reproduce the update on both coordinates across the grid
@@ -89,8 +81,8 @@ class TestBayesCoefficient:
                         continue
                     belief, lik = BeliefState(pi), LikelihoodPair(p_b, p_m)
                     updated = bayes_update(belief, lik).pi_m
-                    f_m = bayes_coefficient(belief, lik, MALICIOUS)
-                    f_b = bayes_coefficient(belief, lik, BENIGN)
+                    f_m = coefficient_value(pi, p_b, p_m, malicious=True)
+                    f_b = coefficient_value(pi, p_b, p_m, malicious=False)
                     assert f_m * pi == pytest.approx(updated, abs=1e-12)
                     assert f_b * (1 - pi) == pytest.approx(1 - updated, abs=1e-12)
 
@@ -110,64 +102,3 @@ class TestValidation:
     def test_likelihood_range(self):
         with pytest.raises(ValueError):
             LikelihoodPair(1.2, 0.5)
-
-
-def one_step_profile(action_b, action_m, reaction):
-    return StrategyTree(
-        depth=1,
-        sender={BENIGN: {(): action_b}, MALICIOUS: {(): action_m}},
-        receiver={(): reaction},
-    )
-
-
-def two_step_profile(action_b, action_m, reaction):
-    nodes = [(), ("x_n",), ("x_a",)]
-    return StrategyTree(
-        depth=2,
-        sender={
-            BENIGN: {n: action_b for n in nodes},
-            MALICIOUS: {n: action_m for n in nodes},
-        },
-        receiver={n: reaction for n in nodes},
-    )
-
-
-class TestTypeConditionalLikelihood:
-    def test_pooling_profile(self, table1):
-        lik = type_conditional_likelihood(table1, one_step_profile("a_b", "a_b", "r_b"), ("x_n",), "x_n")
-        assert (lik.p_b, lik.p_m) == (0.9, 0.9)
-
-    def test_separating_profile(self, table1):
-        lik = type_conditional_likelihood(table1, one_step_profile("a_b", "a_m", "r_b"), ("x_n",), "x_n")
-        assert (lik.p_b, lik.p_m) == (0.9, 0.8)
-
-    def test_deeper_history_uses_tree_node(self, table1):
-        profile = two_step_profile("a_b", "a_m", "r_b")
-        lik = type_conditional_likelihood(table1, profile, ("x_n", "x_a"), "x_a")
-        assert (lik.p_b, lik.p_m) == (0.2, 0.3)
-
-    def test_deterministic_rows(self, scenario_builder):
-        scenario = scenario_builder(
-            rows={
-                ("x_n", "a_b"): (1.0, 0.0),
-                ("x_a", "a_b"): (1.0, 0.0),
-                ("x_n", "a_m"): (1.0, 0.0),
-                ("x_a", "a_m"): (1.0, 0.0),
-            },
-            sender_util=lambda t, x, a, r: 0.0,
-            receiver_util=lambda t, x, a, r: 0.0,
-        )
-        lik = type_conditional_likelihood(
-            scenario, one_step_profile("a_b", "a_m", "r_b"), ("x_n",), "x_n"
-        )
-        assert (lik.p_b, lik.p_m) == (1.0, 1.0)
-
-    def test_history_beyond_depth_errors(self, table1):
-        with pytest.raises(ValueError, match="depth"):
-            type_conditional_likelihood(
-                table1, one_step_profile("a_b", "a_m", "r_b"), ("x_n", "x_a"), "x_n"
-            )
-
-    def test_empty_history_errors(self, table1):
-        with pytest.raises(ValueError, match="root"):
-            type_conditional_likelihood(table1, one_step_profile("a_b", "a_m", "r_b"), (), "x_n")

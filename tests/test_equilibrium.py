@@ -17,9 +17,7 @@ from siggame.equilibrium import (
     StrategyTree,
     _Enumeration,
     _RegionTable,
-    _Tables,
     _WindowScan,
-    enumerate_strategy_trees,
     expected_utilities,
     joint_profile_count,
     solve_bne,
@@ -47,37 +45,39 @@ def one_step_profile(action_b, action_m, reaction):
 class TestEnumeration:
     def test_counts_depth_one(self):
         al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
-        sender, receiver = enumerate_strategy_trees(al, 1)
-        assert len(sender[BENIGN]) == 2
-        assert len(sender[MALICIOUS]) == 2
-        assert len(receiver) == 2
+        enum = _Enumeration(al, 1)
+        assert len(enum.sender_branches) == 2
+        assert len(enum.receiver_branches) == 2
 
     def test_counts_depth_two(self):
         al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
-        sender, receiver = enumerate_strategy_trees(al, 2)
+        enum = _Enumeration(al, 2)
         # 3 nodes (root plus one per state), binary labels
-        assert len(sender[BENIGN]) == 8
-        assert len(receiver) == 8
-        assert len({tuple(sorted(t.items())) for t in receiver}) == 8
+        assert len(enum.sender_branches) == 8
+        assert len(enum.receiver_branches) == 8
+        assert len(set(enum.receiver_branches)) == 8
 
     def test_branch_node_counts(self):
         al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
         for horizon in (1, 2, 3):
-            sender, receiver = enumerate_strategy_trees(al, horizon)
+            enum = _Enumeration(al, horizon)
             expected_nodes = sum(2**d for d in range(horizon))
-            assert all(len(branch) == expected_nodes for branch in sender[BENIGN])
-            assert all(len(branch) == expected_nodes for branch in receiver)
+            trees = ((enum.sender_branches, al.actions), (enum.receiver_branches, al.reactions))
+            for branches, labels in trees:
+                assert all(len(enum.tree(b, labels)) == expected_nodes for b in branches)
+            n_sender, n_receiver = len(enum.sender_branches), len(enum.receiver_branches)
+            assert joint_profile_count(al, horizon) == n_sender**2 * n_receiver
 
     def test_zero_horizon_rejected(self):
         al = Alphabets(states=("x",), actions=("a",), reactions=("r",))
         with pytest.raises(ValueError, match=">= 1"):
-            enumerate_strategy_trees(al, 0)
+            _Enumeration(al, 0)
 
     def test_combinatorial_guard(self):
         al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
         assert joint_profile_count(al, 12) > 10**7
         with pytest.raises(EnumerationLimitError, match="exceed"):
-            enumerate_strategy_trees(al, 12)
+            _Enumeration(al, 12)
 
 
 class TestExpectedUtilities:
@@ -134,6 +134,30 @@ class TestExpectedUtilities:
     def test_depth_mismatch_rejected(self, table1):
         with pytest.raises(ValueError, match="depth"):
             expected_utilities(table1, one_step_profile("a_b", "a_m", "r_b"), BeliefState(0.1), "x_n")
+
+    @pytest.mark.parametrize(
+        "x_now, leaf, message",
+        [
+            ("x_z", ("a_b", "a_m", "r_b"), "unknown state label 'x_z'"),
+            ("x_n", ("a_b", "a_z", "r_b"), "unknown action label 'a_z'"),
+            ("x_n", ("a_b", "a_m", "r_z"), "unknown reaction label 'r_z'"),
+        ],
+        ids=["state", "action", "reaction"],
+    )
+    def test_unknown_label_named(self, table1, x_now, leaf, message):
+        # the bad action or reaction sits at a depth-1 node, below the root
+        a_b, a_m, r = leaf
+        nodes = [(), ("x_n",), ("x_a",)]
+        profile = StrategyTree(
+            depth=2,
+            sender={
+                BENIGN: {n: a_b if n == ("x_a",) else "a_b" for n in nodes},
+                MALICIOUS: {n: a_m if n == ("x_a",) else "a_m" for n in nodes},
+            },
+            receiver={n: r if n == ("x_a",) else "r_b" for n in nodes},
+        )
+        with pytest.raises(ValueError, match=message):
+            expected_utilities(_with_horizon(table1, 2), profile, BeliefState(0.1), x_now)
 
 
 def _with_horizon(scenario, horizon):
@@ -215,18 +239,11 @@ class TestSolve:
 
 def _direct_equilibrium_count(scenario, pi, state):
     belief = BeliefState(pi)
-    sender_trees, receiver_trees = enumerate_strategy_trees(scenario.alphabets, scenario.horizon)
+    enum = _Enumeration(scenario.alphabets, scenario.horizon)
+    nb, nr = len(enum.sender_branches), len(enum.receiver_branches)
     values = {}
-    for ib, branch_b in enumerate(sender_trees[BENIGN]):
-        for im, branch_m in enumerate(sender_trees[MALICIOUS]):
-            for ir, branch_r in enumerate(receiver_trees):
-                profile = StrategyTree(
-                    depth=scenario.horizon,
-                    sender={BENIGN: branch_b, MALICIOUS: branch_m},
-                    receiver=branch_r,
-                )
-                values[(ib, im, ir)] = expected_utilities(scenario, profile, belief, state)
-    nb, nr = len(sender_trees[BENIGN]), len(receiver_trees)
+    for ib, im, ir in itertools.product(range(nb), range(nb), range(nr)):
+        values[(ib, im, ir)] = expected_utilities(scenario, enum.profile(ib, im, ir), belief, state)
     count = 0
     for (ib, im, ir), (vb, vm, vr) in values.items():
         if any(values[(alt, im, ir)][0] > vb for alt in range(nb)):
@@ -241,17 +258,20 @@ def _direct_equilibrium_count(scenario, pi, state):
 
 def _assert_mutual_best_response(scenario, result, pi, state):
     belief = BeliefState(pi)
-    sender_trees, receiver_trees = enumerate_strategy_trees(scenario.alphabets, scenario.horizon)
+    al = scenario.alphabets
+    enum = _Enumeration(al, scenario.horizon)
+    sender_trees = [enum.tree(branch, al.actions) for branch in enum.sender_branches]
+    receiver_trees = [enum.tree(branch, al.reactions) for branch in enum.receiver_branches]
     profile = result.profile
     v_b, v_m, v_r = expected_utilities(scenario, profile, belief, state)
-    for branch in sender_trees[BENIGN]:
+    for branch in sender_trees:
         alt = StrategyTree(
             depth=profile.depth,
             sender={BENIGN: branch, MALICIOUS: profile.sender[MALICIOUS]},
             receiver=profile.receiver,
         )
         assert expected_utilities(scenario, alt, belief, state)[0] <= v_b + 1e-12
-    for branch in sender_trees[MALICIOUS]:
+    for branch in sender_trees:
         alt = StrategyTree(
             depth=profile.depth,
             sender={BENIGN: profile.sender[BENIGN], MALICIOUS: branch},
@@ -334,7 +354,7 @@ class TestValueMatricesAgainstOracle:
         al = scenario.alphabets
         enum = _Enumeration(al, scenario.horizon)
         x0 = al.state_index(state)
-        window = _WindowScan(_Tables(scenario), enum, x0)
+        window = _WindowScan(scenario, enum, x0)
         nb, nr = window.V_b.shape
         picks = [(0, 0, 0), (nb - 1, nb - 1, nr - 1)] + [
             (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(12)
@@ -349,7 +369,7 @@ class TestValueMatricesAgainstOracle:
                 )
                 assert (window.V_b[ib, ir], window.V_m[im, ir], V_r[ib, im, ir]) == oracle
         # the reused object has scanned two beliefs; a fresh one agrees at the second
-        fresh = _WindowScan(_Tables(scenario), enum, x0).scan(other_pi)
+        fresh = _WindowScan(scenario, enum, x0).scan(other_pi)
         reused = window.scan(other_pi)
         assert np.array_equal(reused[0], fresh[0])
         assert np.array_equal(reused[1], fresh[1])
@@ -523,12 +543,12 @@ def _fresh_scan_roots(scenario):
     """Root labels of ``_WindowScan.scan`` on windows built apart from any
     policy, one per state."""
     al = scenario.alphabets
-    tables, enum = _Tables(scenario), _Enumeration(al, scenario.horizon)
+    enum = _Enumeration(al, scenario.horizon)
     windows = {}
 
     def roots(pi, state):
         if state not in windows:
-            windows[state] = _WindowScan(tables, enum, al.state_index(state))
+            windows[state] = _WindowScan(scenario, enum, al.state_index(state))
         _, _, (ib, im, ir) = windows[state].scan(pi)
         b, m, r = enum.sender_branches[ib], enum.sender_branches[im], enum.receiver_branches[ir]
         return al.actions[b[0]], al.actions[m[0]], al.reactions[r[0]]

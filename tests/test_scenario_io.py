@@ -165,6 +165,9 @@ class TestTrajectoryCsv:
         assert back.reactions == traj.reactions
         assert back.agreement == traj.agreement
         assert back.true_type == traj.true_type
+        # the CSV carries neither, and seed 0 is a valid seed
+        assert back.prior is None
+        assert back.seed is None
         for a, b in zip(back.beliefs, traj.beliefs):
             assert a == pytest.approx(b, rel=1e-11)
 
