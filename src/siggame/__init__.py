@@ -41,7 +41,6 @@ from .model import (
     Scenario,
     TransitionKernel,
     UtilityTables,
-    ValidationReport,
     check_distinguishability,
     sample_transition,
     validate_kernel,
@@ -79,7 +78,6 @@ __all__ = [
     "TransitionKernel",
     "TYPES",
     "UtilityTables",
-    "ValidationReport",
     "agreement_series",
     "bayes_update",
     "check_distinguishability",

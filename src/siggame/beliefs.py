@@ -29,10 +29,6 @@ class BeliefState:
         if not 0.0 <= self.pi_m <= 1.0:
             raise ValueError(f"belief must lie in [0, 1], got {self.pi_m}")
 
-    @property
-    def pi_b(self) -> float:
-        return 1.0 - self.pi_m
-
 
 @dataclass(frozen=True)
 class LikelihoodPair:

@@ -90,6 +90,8 @@ def convergence_report(
     classified F_TO_ONE when the mean |f - 1| over the window is below
     ``tol``, PI_TO_ZERO when the limit estimate is, UNDECIDED otherwise.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     beliefs = trajectory.beliefs
     coefficients = trajectory.coefficients
     if len(beliefs) <= window:

@@ -210,12 +210,11 @@ class _Enumeration:
     first. Label sequences of length ``horizon`` are numbered in
     ``itertools.product`` order. ``path_sequences`` holds two arrays,
     indexed (state path, sender branch) and (state path, receiver branch), of
-    the number of the sequence each branch plays along that path.
+    the number of the sequence each branch plays along that path. Both
+    callers pass a Scenario's horizon, which is at least 1.
     """
 
     def __init__(self, alphabets: Alphabets, horizon: int):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
         total = joint_profile_count(alphabets, horizon)
         if total > JOINT_PROFILE_LIMIT:
             raise EnumerationLimitError(

@@ -92,26 +92,6 @@ class TransitionKernel:
 
 
 @dataclass(frozen=True)
-class KernelViolation:
-    kind: str  # "missing" | "length" | "negative" | "sum" | "unknown"
-    key: tuple[str, str, str] | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[KernelViolation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    @property
-    def structural(self) -> tuple[KernelViolation, ...]:
-        return tuple(v for v in self.violations if v.kind in ("missing", "length", "unknown"))
-
-
-@dataclass(frozen=True)
 class UtilityTables:
     """Instantaneous utilities.
 
@@ -140,7 +120,9 @@ class UtilityTables:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete game description.
+    """Complete game description, checked when it is built: a kernel that is
+    not a valid stochastic kernel over ``alphabets`` (``validate_kernel``), or
+    utilities that do not cover them with finite values, raise ValueError.
 
     ``prior`` is the initial probability assigned to the malicious type.
     ``horizon`` is the lookahead window of the receding-horizon solve;
@@ -170,46 +152,43 @@ class Scenario:
             raise ValueError(f"episode length must be >= 1, got {self.episode_length}")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base seed must fit in an unsigned 64-bit integer")
+        if self.kernel.alphabets != self.alphabets:
+            raise ValueError(f"kernel alphabets {self.kernel.alphabets} are not {self.alphabets}")
+        validate_kernel(self.kernel)
         self.utilities.validate(self.alphabets)
 
 
-def validate_kernel(kernel: TransitionKernel) -> ValidationReport:
+def validate_kernel(kernel: TransitionKernel) -> None:
     """Check that every (x, a, r) triple has a probability row.
 
-    Structural defects (missing rows, wrong row length, rows for unknown
-    labels) are reported separately from probabilistic ones (negative or NaN
-    entries, row sums off unity by more than ROW_SUM_TOL).
+    Raises one ValueError that lists every defect by row: rows for labels
+    outside the alphabets, missing rows, rows of the wrong length, negative
+    or NaN entries, and row sums off unity by more than ROW_SUM_TOL.
     """
     al = kernel.alphabets
-    violations: list[KernelViolation] = []
-    expected = set(itertools.product(al.states, al.actions, al.reactions))
-    for key in kernel.table:
-        if key not in expected:
-            violations.append(
-                KernelViolation("unknown", key, f"row {key} uses labels outside the alphabets")
-            )
-    for key in itertools.product(al.states, al.actions, al.reactions):
+    expected = list(itertools.product(al.states, al.actions, al.reactions))
+    known = set(expected)
+    defects = [
+        f"row {key} uses labels outside the alphabets" for key in kernel.table if key not in known
+    ]
+    for key in expected:
         row = kernel.table.get(key)
         if row is None:
-            violations.append(KernelViolation("missing", key, f"no row for {key}"))
+            defects.append(f"no row for {key}")
             continue
         if len(row) != len(al.states):
-            violations.append(
-                KernelViolation(
-                    "length", key, f"row {key} has {len(row)} entries, expected {len(al.states)}"
-                )
-            )
+            defects.append(f"row {key} has {len(row)} entries, expected {len(al.states)}")
             continue
         # Both checks are written so that a NaN entry fails them.
         for state, p in zip(al.states, row):
             if not p >= 0.0:
-                message = f"row {key} has entry {p} at {state!r}, not >= 0"
-                violations.append(KernelViolation("negative", key, message))
+                defects.append(f"row {key} has entry {p} at {state!r}, not >= 0")
         # fsum raises on a row holding both infinities; sum gives NaN there.
         total = math.fsum(row) if all(map(math.isfinite, row)) else sum(row)
         if not abs(total - 1.0) <= ROW_SUM_TOL:
-            violations.append(KernelViolation("sum", key, f"row {key} sums to {total!r}, not 1"))
-    return ValidationReport(violations=tuple(violations))
+            defects.append(f"row {key} sums to {total!r}, not 1")
+    if defects:
+        raise ValueError("kernel validation failed: " + "; ".join(defects))
 
 
 def check_distinguishability(

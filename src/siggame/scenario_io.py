@@ -36,7 +36,6 @@ from .model import (
     TransitionKernel,
     UtilityTables,
     check_distinguishability,
-    validate_kernel,
 )
 from .simulate import BatchSummary, Trajectory
 
@@ -82,11 +81,7 @@ def _parse_kernel(doc: dict, alphabets: Alphabets) -> TransitionKernel:
     reaction_independent = bool(doc.get("reaction_independent", False))
     table: dict[tuple[str, str, str], tuple[float, ...]] = {}
     for x, by_action in rows.items():
-        if x not in alphabets.states:
-            raise ScenarioFormatError(f"kernel: unknown state label {x!r}")
         for a, entry in _as(dict, by_action, f"kernel.rows.{x}").items():
-            if a not in alphabets.actions:
-                raise ScenarioFormatError(f"kernel: unknown action label {a!r} under state {x!r}")
             where = f"kernel.rows.{x}.{a}"
             if reaction_independent:
                 vector = _row(entry, where)
@@ -94,10 +89,6 @@ def _parse_kernel(doc: dict, alphabets: Alphabets) -> TransitionKernel:
                     table[(x, a, r)] = vector
             else:
                 for r, vec in _as(dict, entry, where).items():
-                    if r not in alphabets.reactions:
-                        raise ScenarioFormatError(
-                            f"kernel: unknown reaction label {r!r} under ({x!r}, {a!r})"
-                        )
                     table[(x, a, r)] = _row(vec, f"{where}.{r}")
     return TransitionKernel(alphabets=alphabets, table=table)
 
@@ -150,7 +141,8 @@ def _parse_utilities(doc: dict, alphabets: Alphabets) -> UtilityTables:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document (no kernel validation)."""
+    """Build a Scenario from a parsed JSON document; a malformed field or a
+    defect found by the Scenario constructor is a ScenarioFormatError."""
     alpha_doc = _require(doc, "alphabets", "document")
     labels = [
         _as(tuple, _require(alpha_doc, key, "alphabets"), f"alphabets.{key}")
@@ -216,28 +208,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def read_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario file without kernel validation."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ScenarioFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    return scenario_from_dict(doc)
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file.
 
-    Kernel defects are errors naming the offending row. A failed action
-    distinguishability check is only a warning: downstream simulation stays
-    well defined, only the action-agreement guarantees lose their premise.
+    Every ScenarioFormatError starts with the path; kernel defects name the
+    offending rows. A failed action distinguishability check is only a
+    warning: downstream simulation stays well defined, only the
+    action-agreement guarantees lose their premise.
     """
-    scenario = read_scenario(path)
-    report = validate_kernel(scenario.kernel)
-    if not report.passed:
-        details = "; ".join(v.message for v in report.violations)
-        raise ScenarioFormatError(f"{path}: kernel validation failed: {details}")
+    path = Path(path)
+    try:
+        scenario = scenario_from_dict(json.loads(path.read_text()))
+    except json.JSONDecodeError as err:
+        raise ScenarioFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    except ScenarioFormatError as err:
+        raise ScenarioFormatError(f"{path}: {err}") from err
     ok, witnesses = check_distinguishability(scenario.kernel)
     if not ok:
         warnings.warn(
@@ -250,11 +235,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
-
-
-def bundled_scenario_names() -> list[str]:
-    root = resources.files("siggame").joinpath("configs")
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def resolve_config_path(name_or_path: str) -> Path:

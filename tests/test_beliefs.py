@@ -86,11 +86,6 @@ class TestCoefficientValue:
                     assert f_m * pi == pytest.approx(updated, abs=1e-12)
                     assert f_b * (1 - pi) == pytest.approx(1 - updated, abs=1e-12)
 
-    def test_complement_consistency(self):
-        for pi in GRID[1:-1]:
-            upd = bayes_update(BeliefState(pi), LikelihoodPair(0.25, 0.65))
-            assert upd.pi_m + upd.pi_b == pytest.approx(1.0, abs=1e-12)
-
 
 class TestValidation:
     def test_belief_range(self):

@@ -24,11 +24,36 @@ class TestValidateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--config", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {bad}: kernel validation failed: ")
+        assert "('x_n', 'a_b', 'r_b')" in line
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 1
+
+    def test_missing_field_error_names_file(self, table1_path, tmp_path, capsys):
+        doc = json.loads(open(table1_path).read())
+        del doc["prior"]
+        bad = tmp_path / "no_prior.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(bad)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+        assert "'prior'" in line
+
+    def test_indistinguishable_kernel_reported_once(self, table1_path, tmp_path, capsys, recwarn):
+        doc = json.loads(open(table1_path).read())
+        for x in ("x_n", "x_a"):
+            doc["kernel"]["rows"][x]["a_m"] = doc["kernel"]["rows"][x]["a_b"]
+        pooled = tmp_path / "pooled.json"
+        pooled.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(pooled)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("action distinguishability: WARNING") == 1
+        assert captured.err == ""
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
 class TestEquilibriumCommand:
@@ -103,6 +128,18 @@ class TestBatchAndDiagnoseCommands:
         err = capsys.readouterr().err
         assert f"error: {short}: " in err
         assert "too short for window 20: needs at least 21" in err
+
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_below_one_exits_one(self, table1_path, tmp_path, capsys, window):
+        episode = tmp_path / "episode.csv"
+        args = ["simulate", "--config", table1_path, "--steps", "30", "--out", str(episode)]
+        assert main(args) == 0
+        assert main(["diagnose", "--in", str(episode), "--window", window]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {episode}: window must be >= 1, got {window}"
+        ]
 
 
 class TestAppendixACommand:

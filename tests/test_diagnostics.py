@@ -144,6 +144,11 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="window"):
             convergence_report(series_trajectory([0.5] * 10), window=20)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+            convergence_report(series_trajectory([0.5] * 30), window=window)
+
     def test_trajectory_of_exactly_window_steps_rejected(self):
         # the oscillation over the window needs the belief before it too
         too_short = "20 steps is too short for window 20: needs at least 21"

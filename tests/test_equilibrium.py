@@ -68,11 +68,6 @@ class TestEnumeration:
             n_sender, n_receiver = len(enum.sender_branches), len(enum.receiver_branches)
             assert joint_profile_count(al, horizon) == n_sender**2 * n_receiver
 
-    def test_zero_horizon_rejected(self):
-        al = Alphabets(states=("x",), actions=("a",), reactions=("r",))
-        with pytest.raises(ValueError, match=">= 1"):
-            _Enumeration(al, 0)
-
     def test_combinatorial_guard(self):
         al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
         assert joint_profile_count(al, 12) > 10**7

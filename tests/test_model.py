@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from siggame.model import (
     Alphabets,
+    Scenario,
     TransitionKernel,
     check_distinguishability,
     sample_transition,
@@ -62,56 +64,100 @@ class TestAlphabets:
             al.state_index("x_q")
 
 
+def kernel_defects(kernel):
+    """The defects that validate_kernel lists in its one error."""
+    with pytest.raises(ValueError, match="^kernel validation failed: ") as info:
+        validate_kernel(kernel)
+    return str(info.value).removeprefix("kernel validation failed: ").split("; ")
+
+
 class TestValidateKernel:
     def test_table1_passes(self):
-        report = validate_kernel(reaction_independent_kernel(TABLE1_ROWS))
-        assert report.passed
-        assert report.violations == ()
+        assert validate_kernel(reaction_independent_kernel(TABLE1_ROWS)) is None
 
     def test_row_sum_violation(self):
         rows = dict(TABLE1_ROWS)
         rows[("x_n", "a_b")] = (0.5, 0.6)
-        report = validate_kernel(reaction_independent_kernel(rows))
-        assert not report.passed
-        assert any("sums to" in v.message and v.kind == "sum" for v in report.violations)
-        assert any(v.key == ("x_n", "a_b", "r_b") for v in report.violations)
+        defects = kernel_defects(reaction_independent_kernel(rows))
+        assert "row ('x_n', 'a_b', 'r_b') sums to 1.1, not 1" in defects
 
     def test_negative_entry(self):
         # NaN compares False both ways, so it must fail both checks; a row
         # holding both infinities sums to NaN and must be reported, not raise
         for row, kinds in (
-            ((-0.1, 1.1), {"negative"}),
-            ((float("nan"), 1.0), {"negative", "sum"}),
-            ((float("inf"), float("-inf")), {"negative", "sum"}),
+            ((-0.1, 1.1), {"not >= 0"}),
+            ((float("nan"), 1.0), {"not >= 0", "sums to"}),
+            ((float("inf"), float("-inf")), {"not >= 0", "sums to"}),
         ):
             rows = dict(TABLE1_ROWS)
             rows[("x_a", "a_m")] = row
-            report = validate_kernel(reaction_independent_kernel(rows))
-            assert not report.passed
-            assert {v.kind for v in report.violations} == kinds
-            assert {v.key[:2] for v in report.violations} == {("x_a", "a_m")}
+            defects = kernel_defects(reaction_independent_kernel(rows))
+            assert {k for k in ("not >= 0", "sums to") for d in defects if k in d} == kinds
+            assert all(d.startswith("row ('x_a', 'a_m', ") for d in defects)
 
     def test_missing_row_is_structural(self):
         al = binary_alphabets()
         table = {("x_n", "a_b", "r_b"): (0.9, 0.1)}
-        report = validate_kernel(TransitionKernel(alphabets=al, table=table))
-        assert not report.passed
-        assert report.structural
-        assert all(v.kind == "missing" for v in report.structural)
+        defects = kernel_defects(TransitionKernel(alphabets=al, table=table))
+        assert len(defects) == 7
+        assert all(d.startswith("no row for ") for d in defects)
 
     def test_wrong_length_is_structural(self):
         rows = dict(TABLE1_ROWS)
         rows[("x_n", "a_b")] = (1.0,)
-        report = validate_kernel(reaction_independent_kernel(rows))
-        assert any(v.kind == "length" for v in report.violations)
+        defects = kernel_defects(reaction_independent_kernel(rows))
+        assert "row ('x_n', 'a_b', 'r_b') has 1 entries, expected 2" in defects
 
     def test_row_sum_tolerance(self):
         # 1e-10 below unity is inside the tolerance; 1e-8 is not.
         rows = dict(TABLE1_ROWS)
         rows[("x_n", "a_b")] = (0.9, 0.1 - 1e-10)
-        assert validate_kernel(reaction_independent_kernel(rows)).passed
+        validate_kernel(reaction_independent_kernel(rows))
         rows[("x_n", "a_b")] = (0.9, 0.1 - 1e-8)
-        assert not validate_kernel(reaction_independent_kernel(rows)).passed
+        with pytest.raises(ValueError, match="sums to"):
+            validate_kernel(reaction_independent_kernel(rows))
+
+
+NB = ("x_n", "a_b", "r_b")
+
+
+def _edit_row(key, row):
+    def edit(fields):
+        table = dict(fields["kernel"].table)
+        if row is None:
+            del table[key]
+        else:
+            table[key] = row
+        fields["kernel"] = TransitionKernel(alphabets=fields["alphabets"], table=table)
+
+    return edit
+
+
+def _reorder_kernel_states(fields):
+    al = fields["alphabets"]
+    swapped = Alphabets(states=al.states[::-1], actions=al.actions, reactions=al.reactions)
+    fields["kernel"] = TransitionKernel(alphabets=swapped, table=fields["kernel"].table)
+
+
+class TestScenarioConstruction:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_edit_row(NB, (math.nan, 1.0)), f"row {NB} has entry nan"),
+            (_edit_row(NB, (1.0,)), f"row {NB} has 1 entries"),
+            (_edit_row(("x_q", "a_b", "r_b"), (0.9, 0.1)), "row ('x_q', 'a_b', 'r_b') uses labels"),
+            (_edit_row(("x_a", "a_m", "r_m"), None), "no row for ('x_a', 'a_m', 'r_m')"),
+            (_reorder_kernel_states, "kernel alphabets Alphabets(states=('x_a', 'x_n')"),
+            # _Enumeration takes its horizon from a Scenario and relies on this
+            (lambda fields: fields.update(horizon=0), "horizon must be >= 1, got 0"),
+        ],
+        ids=["nan-entry", "short-row", "unknown-state", "missing-row", "reordered", "horizon-0"],
+    )
+    def test_defect_raises_naming_it(self, table1, edit, message):
+        fields = dict(vars(table1))
+        edit(fields)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Scenario(**fields)
 
 
 class TestDistinguishability:

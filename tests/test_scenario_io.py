@@ -10,7 +10,6 @@ from siggame.model import BENIGN, MALICIOUS, TYPES
 from siggame.scenario_io import (
     TRAJECTORY_COLUMNS,
     ScenarioFormatError,
-    bundled_scenario_names,
     format_trajectory,
     load_scenario,
     read_trajectory,
@@ -25,11 +24,6 @@ from siggame.simulate import Trajectory, run_batch, run_episode
 
 
 class TestBundledScenarios:
-    def test_names_present(self):
-        names = bundled_scenario_names()
-        assert "table1.json" in names
-        assert "table4.json" in names
-
     def test_table1_contents(self, table1):
         assert table1.prior == 0.1
         assert table1.initial_state == "x_n"
@@ -49,6 +43,7 @@ class TestBundledScenarios:
 
     def test_resolve_accepts_bare_names(self):
         assert resolve_config_path("table1").name == "table1.json"
+        assert resolve_config_path("table4").name == "table4.json"
         with pytest.raises(FileNotFoundError):
             resolve_config_path("not_a_config")
 
@@ -73,14 +68,19 @@ class TestScenarioErrors:
         doc["kernel"]["rows"]["x_n"]["a_b"]["r_b"] = [0.5, 0.6]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ScenarioFormatError, match=r"x_n.*a_b.*r_b"):
+        with pytest.raises(ScenarioFormatError, match=r"x_n.*a_b.*r_b") as info:
             load_scenario(path)
+        assert str(info.value).startswith(f"{path}: kernel validation failed: ")
 
     def test_unknown_label_rejected(self, table1):
-        doc = scenario_to_dict(table1)
-        doc["utilities"]["sender"]["benign"]["x_q"] = 1.0
-        with pytest.raises(ScenarioFormatError, match="x_q"):
-            scenario_from_dict(doc)
+        for edit in (
+            lambda doc: doc["utilities"]["sender"]["benign"].update(x_q=1.0),
+            lambda doc: doc["kernel"]["rows"].update(x_q=doc["kernel"]["rows"]["x_n"]),
+        ):
+            doc = scenario_to_dict(table1)
+            edit(doc)
+            with pytest.raises(ScenarioFormatError, match="x_q"):
+                scenario_from_dict(doc)
 
     def test_missing_field_reported(self, table1):
         doc = scenario_to_dict(table1)
