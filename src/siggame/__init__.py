@@ -19,7 +19,6 @@ from .diagnostics import (
     ConvergenceReport,
     agreement_series,
     convergence_report,
-    detection_averse_check,
     kl_decay_estimate,
     random_walk_belief,
     submartingale_margin,
@@ -83,7 +82,6 @@ __all__ = [
     "check_distinguishability",
     "convergence_report",
     "derive_episode_seed",
-    "detection_averse_check",
     "expected_utilities",
     "kl_decay_estimate",
     "load_scenario",

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 from .beliefs import BeliefState
 from .diagnostics import (
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
     agreement_series,
     convergence_report,
     random_walk_belief,
@@ -64,12 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None, help="override episode length")
     p.add_argument("--outdir", required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--window", type=int, default=20)
-    p.add_argument("--tol", type=float, default=0.01)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("diagnose", help="convergence and agreement reports for trajectory CSVs")
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
-    p.add_argument("--window", type=int, default=20)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--tol", type=float, default=0.05)
 
     p = sub.add_parser(

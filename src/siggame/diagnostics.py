@@ -20,7 +20,7 @@ from .model import MALICIOUS, Scenario
 
 if TYPE_CHECKING:
     from .equilibrium import StrategyTree
-    from .simulate import BatchSummary, Trajectory
+    from .simulate import Trajectory
 
 DEFAULT_WINDOW = 20
 DEFAULT_TOL = 0.01
@@ -80,6 +80,18 @@ def submartingale_margin(
     return expected - current
 
 
+def check_window(window: int, length: int) -> None:
+    """Raise ValueError unless a trailing window of ``window`` steps fits a
+    trajectory of ``length`` steps; the oscillation spans window + 1 beliefs."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if length <= window:
+        raise ValueError(
+            f"trajectory of {length} steps is too short for window {window}: "
+            f"needs at least {window + 1}"
+        )
+
+
 def convergence_report(
     trajectory: "Trajectory", window: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
 ) -> ConvergenceReport:
@@ -90,16 +102,9 @@ def convergence_report(
     classified F_TO_ONE when the mean |f - 1| over the window is below
     ``tol``, PI_TO_ZERO when the limit estimate is, UNDECIDED otherwise.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     beliefs = trajectory.beliefs
     coefficients = trajectory.coefficients
-    if len(beliefs) <= window:
-        # the oscillation spans window + 1 beliefs
-        raise ValueError(
-            f"trajectory of {len(beliefs)} steps is too short for window {window}: "
-            f"needs at least {window + 1}"
-        )
+    check_window(window, len(beliefs))
     tail = beliefs[-window:]
     limit = math.fsum(tail) / window
     span = beliefs[-(window + 1):]
@@ -181,20 +186,3 @@ def random_walk_belief(p: float, k: int, pi0: float) -> float:
         # p = 1/2 makes the walk uninformative; return the prior untouched.
         return pi0
     return pi0 / (alpha * (1.0 - pi0) + pi0)
-
-
-def detection_averse_check(
-    batch: "BatchSummary", tol: float = DEFAULT_TOL
-) -> tuple[bool, list[tuple[int, float]]]:
-    """Check that no episode's belief limit reaches one.
-
-    Requires a batch generated under the malicious type; an episode violates
-    when its limit estimate exceeds 1 - tol (or when it failed outright).
-    """
-    if batch.true_type != MALICIOUS:
-        raise ValueError("detection-averse check requires a malicious-type batch")
-    violations: list[tuple[int, float]] = []
-    for index, limit in enumerate(batch.limit_estimates):
-        if limit is None or limit > 1.0 - tol:
-            violations.append((index, math.nan if limit is None else limit))
-    return (not violations, violations)

@@ -21,19 +21,20 @@ path, benign, malicious, reaction) label sequence, after which each branch
 gathers its sequence terms path by path. Only the receiver's values depend on
 the belief, so the walk is split there: the path weights, sender values and
 sender deviation gains are built once per state, and each new belief re-runs
-only the receiver pass and the regret scan. ``expected_utilities`` values a
-single profile with a separate scalar walk over the scenario's label-keyed
-tables and serves as the independent oracle; both add the same terms in the
-same order, so they agree bit for bit.
+only the belief walk, the receiver pass and the regret scan.
+``expected_utilities`` values a single profile with a separate scalar walk
+over the scenario's label-keyed tables and serves as the independent oracle;
+both add the same terms in the same order, so they agree bit for bit.
 
 The receding-horizon policy scans only where it has not proven the answer.
 The scan's choice is the first profile, in a belief-free order by regret,
 whose receiver branch is a best response, and the belief moves the receiver
-values only. Bayes' rule is monotone in the belief, so running the walk from
-both ends of a belief interval bounds every receiver term over it. From those
-bounds, path by path, ``_WindowScan.certifier`` proves that the choice stays
-a best response and that no earlier profile becomes one. Each state keeps the
-intervals proven so far, and a belief inside one is answered by a bisect.
+values only. Bayes' rule is monotone in the belief, so the scan's own belief
+walk, run from both ends of a belief interval, bounds every receiver term
+over it. From those bounds, path by path, ``_WindowScan.certifier`` proves
+that the choice stays a best response and that no earlier profile becomes
+one. Each state keeps the intervals proven so far, and a belief inside one
+is answered by a bisect.
 
 Tie-breaking is lexicographic in enumeration order: trees are enumerated by
 assigning labels (in alphabet order) to nodes ordered by depth then state
@@ -277,8 +278,9 @@ class _WindowScan:
     propagated along each state path. The constructor runs the belief-free
     half of the walk once. It keeps each path's weights, its dead mask and its
     receiver-utility and likelihood grids, and fills ``V_b``, ``V_m`` and the
-    gains. ``scan`` re-runs only the belief walk, the receiver gathers and the
-    regret build.
+    gains. ``_walk`` is the belief walk: ``scan`` runs it at one belief and
+    then does the receiver gathers and the regret build, and ``_term_bounds``
+    runs it at both ends of a belief interval.
 
     The constructor reads the scenario's kernel rows and utility tables into
     index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
@@ -348,6 +350,27 @@ class _WindowScan:
         self.gain_b = (self.V_b.max(axis=0) - self.V_b)[:, None, :]
         self.gain_m = (self.V_m.max(axis=0) - self.V_m)[None, :, :]
 
+    def _walk(self, beta):
+        """Run the belief walk from ``beta``, a float or an array that
+        broadcasts against the grid. Yields, per step, the receiver-utility
+        grids, each cell's belief and, before a Bayes step, the moving cells
+        and each cell's mixture (None after the last step).
+
+        Bayes' rule moves a cell's belief only where the two likelihoods
+        differ, the belief is inside (0, 1) and the mixture exceeds
+        ``MIN_MIXTURE``, as in ``_path_terms``.
+        """
+        for g_b, g_m, bayes in self.steps:
+            if bayes is None:
+                yield g_b, g_m, beta, None
+                continue
+            p_b, p_m, moves = bayes
+            denom = p_b * (1.0 - beta) + p_m * beta
+            yield g_b, g_m, beta, (moves, denom)
+            step = moves & (0.0 < beta) & (beta < 1.0) & (denom > MIN_MIXTURE)
+            with np.errstate(all="ignore"):
+                beta = np.where(step, p_m * beta / denom, beta)
+
     def scan(self, pi: float):
         """Value every joint profile at belief ``pi``; find the first of least regret.
 
@@ -357,17 +380,10 @@ class _WindowScan:
         fallback. Returns the receiver tensor, the regret tensor and that
         profile.
         """
-        beta = pi
         r_b_sum = r_m_sum = 0.0
-        for g_b, g_m, bayes in self.steps:
+        for g_b, g_m, beta, _ in self._walk(pi):
             r_b_sum = r_b_sum + g_b * (1.0 - beta)
             r_m_sum = r_m_sum + g_m * beta
-            if bayes is not None:
-                p_b, p_m, moves = bayes
-                with np.errstate(all="ignore"):
-                    denom = p_b * (1.0 - beta) + p_m * beta
-                    step = moves & (0.0 < beta) & (beta < 1.0) & (denom > MIN_MIXTURE)
-                    beta = np.where(step, p_m * beta / denom, beta)
         t_r = np.where(self.dead, 0.0, (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon)
         V_r = np.zeros(self.shape)
         for t, seq_s, seq_r in zip(t_r, *self.sequences):
@@ -428,51 +444,31 @@ class _WindowScan:
                 ratio = max(ratio, float((big / small).max()))
         return 1e-9 * scale * len(self.dead) * ratio ** (self.horizon - 1)
 
-    @cached_property
-    def _linear_walk(self):
-        """The receiver term of each cell as an intercept plus, per step, a
-        slope times that step's belief, both divided by the horizon and 0 on
-        dead cells; and per Bayes step its likelihood grids and the live
-        moving cells whose mixture can come near ``MIN_MIXTURE`` (None if
-        there are none)."""
-        keep = np.where(self.dead, 0.0, 1.0 / self.horizon)
-        intercept = keep * sum(self.w_b * g_b for g_b, _, _ in self.steps)
-        walk = []
-        for g_b, g_m, bayes in self.steps:
-            slope = keep * (self.w_m * g_m - self.w_b * g_b)
-            if bayes is not None:
-                p_b, p_m, moves = bayes
-                risky = moves & ~self.dead & (np.minimum(p_b, p_m) <= 2.0 * MIN_MIXTURE)
-                bayes = (p_b, p_m, moves, risky if risky.any() else None)
-            walk.append((slope, bayes))
-        return intercept, walk
-
     def _term_bounds(self, lo: float, hi: float):
         """Per-cell lower and upper receiver terms over the beliefs in [lo, hi].
 
-        Runs ``scan``'s belief walk from both ends at once. Bayes' rule is
-        nondecreasing in the belief, so while the mixture guard cannot
-        switch, each cell's belief at each step stays between the two walks,
-        and each step's term is linear in it. Returns None where a live
-        cell's mixture comes within a factor 2 of ``MIN_MIXTURE`` at either
-        end, as the guard could then switch inside the interval.
+        Runs ``_walk`` from both ends at once. Bayes' rule is nondecreasing in
+        the belief, so while the mixture guard cannot switch, each cell's
+        belief at each step stays between the two walks, and each step's term
+        is linear in it; its min and max over the two ends bound it. Returns
+        None where a live, moving cell's mixture is within 2 * ``MIN_MIXTURE``
+        at either end, as the guard could then switch inside the interval.
+        Elsewhere the guard cannot: a moving cell's mixture stays above
+        ``MIN_MIXTURE`` between the ends, Bayes' rule returns a belief of 0
+        or 1 unchanged, and a dead cell's term is 0 whatever its belief, as
+        both its weights are.
         """
-        intercept, walk = self._linear_walk
-        beta = np.array([lo, hi])[:, None, None, None, None]
-        lower = upper = intercept
-        for slope, bayes in walk:
-            term = slope * beta
+        w_b, w_m, live = self.w_b, self.w_m, ~self.dead
+        lower = upper = 0.0
+        for g_b, g_m, beta, bayes in self._walk(np.array([lo, hi])[:, None, None, None, None]):
+            term = w_b * (g_b * (1.0 - beta)) + w_m * (g_m * beta)
             lower = lower + term.min(axis=0)
             upper = upper + term.max(axis=0)
             if bayes is not None:
-                p_b, p_m, moves, risky = bayes
-                denom = p_b * (1.0 - beta) + p_m * beta
-                if risky is not None and np.any(denom[:, risky] <= 2.0 * MIN_MIXTURE):
+                moves, denom = bayes
+                if np.any(moves & live & (denom <= 2.0 * MIN_MIXTURE)):
                     return None
-                # at belief 0 or 1 a vanishing mixture keeps the belief, as in ``scan``
-                with np.errstate(all="ignore"):
-                    beta = np.where(moves & (denom > 0.0), p_m * beta / denom, beta)
-        return lower, upper
+        return lower / self.horizon, upper / self.horizon
 
     def _cells(self, ib, im, r_x, r_y):
         """Flat grid cells, one row per path, of receiver branches ``r_x``
@@ -630,13 +626,14 @@ class RecedingHorizonPolicy:
     Each state keeps a table of belief intervals on which ``_WindowScan.scan``
     is proven to pick one profile, filled in as ``decide`` is called. A belief
     inside a stored interval is answered by a bisect. Any other belief is
-    scanned: the belief-free half of the state's window is built on the first
-    scan there, and each scan re-runs only the receiver pass. The scan then
-    tries to prove its choice on the whole uncovered stretch around the
-    belief, then on each side alone, halving a side's reach on failure until
-    it is below ``MIN_REACH``. A proven interval is stored; beliefs 0 and 1,
-    and beliefs that no interval of that reach covers, are answered by their
-    own scan and not stored, so the tables stay bounded.
+    scanned: the belief-free half of the state's window is built on the
+    state's first ``decide``, and each scan re-runs only the belief walk and
+    the receiver pass. The scan then tries to prove its choice on each side
+    of the belief in turn: first up to the end of the uncovered stretch
+    around it, halving that side's reach on failure until it is below
+    ``MIN_REACH``. The two proven sides make one stored interval; beliefs 0
+    and 1, and beliefs that neither side covers, are answered by their own
+    scan and not stored, so the tables stay bounded.
 
     ``counts`` tallies scans, proofs tried and accepted, and scanned beliefs
     left uncovered. Each stored interval is logged at DEBUG level on the
@@ -657,17 +654,15 @@ class RecedingHorizonPolicy:
     def decide(self, pi_m: float, state: str) -> tuple[str, str, str]:
         """Root prescriptions (benign action, malicious action, reaction)."""
         table = self._regions.get(state)
-        if table is not None:
-            roots = table.roots[bisect_right(table.edges, pi_m)]
-            if roots is not None:
-                return roots
-        return self._scan(pi_m, state)
-
-    def _scan(self, pi_m: float, state: str) -> tuple[str, str, str]:
-        table = self._regions.get(state)
         if table is None:
-            table = _RegionTable(_WindowScan(self.scenario, self._enum, self._x_index(state)))
-            self._regions[state] = table
+            window = _WindowScan(self.scenario, self._enum, self._x_index(state))
+            table = self._regions[state] = _RegionTable(window)
+        roots = table.roots[bisect_right(table.edges, pi_m)]
+        if roots is not None:
+            return roots
+        return self._scan(table, pi_m, state)
+
+    def _scan(self, table: _RegionTable, pi_m: float, state: str) -> tuple[str, str, str]:
         V_r, regret, (ib, im, ir) = table.window.scan(pi_m)
         self.counts["scans"] += 1
         roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
@@ -686,27 +681,16 @@ class RecedingHorizonPolicy:
         if proves is None:
             return None
         counts = self.counts
-
-        def proven(lo, hi):
-            counts["proofs_tried"] += 1
-            ok = proves(lo, hi)
-            counts["proofs_accepted"] += ok
-            return ok
-
         lo, hi = table.gap(pi)
-        if proven(lo, hi):
-            return lo, hi
-        left = right = pi
-        reach = pi - lo
-        while reach >= MIN_REACH:
-            if proven(max(lo, pi - reach), pi):
-                left = max(lo, pi - reach)
-                break
-            reach /= 2.0
-        reach = hi - pi
-        while reach >= MIN_REACH:
-            if proven(pi, min(hi, pi + reach)):
-                right = min(hi, pi + reach)
-                break
-            reach /= 2.0
-        return None if left == right else (left, right)
+        ends = [pi, pi]
+        for side, bound in enumerate((lo, hi)):
+            reach = abs(bound - pi)
+            while reach >= MIN_REACH:
+                end = max(lo, pi - reach) if side == 0 else min(hi, pi + reach)
+                counts["proofs_tried"] += 1
+                if proves(min(end, pi), max(end, pi)):
+                    counts["proofs_accepted"] += 1
+                    ends[side] = end
+                    break
+                reach /= 2.0
+        return None if ends[0] == ends[1] else tuple(ends)

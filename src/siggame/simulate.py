@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beliefs import coefficient_value, posterior_malicious
-from .diagnostics import Classification, agreement_series, convergence_report
+from .diagnostics import (
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
+    Classification,
+    agreement_series,
+    check_window,
+    convergence_report,
+)
 from .equilibrium import RecedingHorizonPolicy
 from .model import MALICIOUS, Scenario, sample_transition
 
@@ -159,8 +166,8 @@ def run_batch(
     n_episodes: int,
     base_seed: int,
     *,
-    window: int = 20,
-    tol: float = 0.01,
+    window: int = DEFAULT_WINDOW,
+    tol: float = DEFAULT_TOL,
     workers: int = 1,
 ) -> tuple[BatchSummary, list[Trajectory | None]]:
     """Run ``n_episodes`` independent episodes and aggregate diagnostics.
@@ -171,10 +178,13 @@ def run_batch(
     are reassembled in episode order, so the summary is identical at any
     parallelism degree.
     Per-episode failures, such as a worker's exception, are recorded in the
-    summary against their episode index instead of aborting the batch.
+    summary against their episode index instead of aborting the batch. A
+    ``window`` that the episodes cannot fill is a ValueError before any
+    episode runs.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    check_window(window, scenario.episode_length)
     seeds = [derive_episode_seed(base_seed, i) for i in range(n_episodes)]
     results: list[Trajectory | None] = [None] * n_episodes
     errors: list[tuple[int, str]] = []

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from siggame.cli import main
-from siggame.scenario_io import resolve_config_path
+from siggame.model import MALICIOUS
+from siggame.scenario_io import resolve_config_path, write_trajectory
+from siggame.simulate import Trajectory
 
 
 @pytest.fixture
@@ -115,9 +117,41 @@ class TestBatchAndDiagnoseCommands:
         assert main(["diagnose", "--in", *episodes]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 2
-        assert "detection_averse" in doc
+        # a malicious batch whose limits all clear 1 - tol
+        assert all(r["limit_estimate"] <= 0.95 for r in doc["reports"])
+        assert doc["detection_averse"] is True
         for report in doc["reports"]:
             assert report["classification"] in ("F_TO_ONE", "PI_TO_ZERO", "UNDECIDED")
+
+    def test_detection_averse_false_when_belief_nears_one(self, tmp_path, capsys):
+        near_one = tmp_path / "near_one.csv"
+        write_trajectory(
+            Trajectory(
+                true_type=MALICIOUS,
+                prior=0.5,
+                seed=0,
+                states=["x_n"] * 30,
+                actions_benign=["a_b"] * 30,
+                actions_malicious=["a_m"] * 30,
+                reactions=["r_m"] * 30,
+                beliefs=[0.99] * 30,
+                coefficients=[1.0] * 30,
+            ),
+            near_one,
+        )
+        assert main(["diagnose", "--in", str(near_one)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reports"][0]["limit_estimate"] == pytest.approx(0.99)
+        assert doc["detection_averse"] is False
+
+    def test_batch_window_below_one_writes_nothing(self, table1_path, tmp_path, capsys):
+        outdir = tmp_path / "batch"
+        args = ["batch", "--config", table1_path, "--episodes", "2", "--outdir", str(outdir)]
+        assert main([*args, "--window", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: window must be >= 1, got 0"]
+        assert not outdir.exists()
 
 
     def test_short_trajectory_error_names_file(self, table1_path, tmp_path, capsys):

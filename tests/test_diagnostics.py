@@ -11,14 +11,13 @@ from siggame.diagnostics import (
     Classification,
     agreement_series,
     convergence_report,
-    detection_averse_check,
     kl_decay_estimate,
     random_walk_belief,
     submartingale_margin,
 )
 from siggame.equilibrium import StrategyTree
 from siggame.model import BENIGN, MALICIOUS
-from siggame.simulate import Trajectory, run_batch, run_episode
+from siggame.simulate import Trajectory, run_episode
 
 
 def one_step_profile(action_b, action_m, reaction):
@@ -254,26 +253,3 @@ class TestRandomWalkBelief:
             random_walk_belief(0.3, 0, 0.1)
         with pytest.raises(ValueError):
             random_walk_belief(0.3, 1, 0.0)
-
-
-class TestDetectionAverseCheck:
-    def test_all_limits_clear(self, table1):
-        scenario = replace(table1, episode_length=60)
-        summary, _ = run_batch(scenario, 5, base_seed=3)
-        ok, violations = detection_averse_check(summary, tol=0.01)
-        assert ok
-        assert violations == []
-
-    def test_violation_is_listed(self, table1):
-        scenario = replace(table1, episode_length=60)
-        summary, _ = run_batch(scenario, 3, base_seed=3)
-        summary.limit_estimates[1] = 0.999
-        ok, violations = detection_averse_check(summary, tol=0.01)
-        assert not ok
-        assert violations[0][0] == 1
-
-    def test_requires_malicious_batch(self, table1):
-        scenario = replace(table1, episode_length=60, true_type=BENIGN)
-        summary, _ = run_batch(scenario, 2, base_seed=3)
-        with pytest.raises(ValueError, match="malicious"):
-            detection_averse_check(summary)

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from siggame import simulate
 from siggame.equilibrium import RecedingHorizonPolicy
 from siggame.model import MALICIOUS
 from siggame.simulate import derive_episode_seed, run_batch, run_episode
@@ -107,6 +108,18 @@ class TestRunBatch:
     def test_rejects_empty_batch(self, short_table1):
         with pytest.raises(ValueError):
             run_batch(short_table1, 0, base_seed=1)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [(0, "window must be >= 1, got 0"), (80, "80 steps is too short for window 80")],
+    )
+    def test_window_checked_before_any_episode(self, short_table1, monkeypatch, window, message):
+        def no_episodes(args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
+        with pytest.raises(ValueError, match=message):
+            run_batch(short_table1, 3, base_seed=1, window=window)
 
     def test_episode_failure_recorded_without_aborting(self, table1, monkeypatch):
         # the serial batch runs episode 1's steps as decide calls 40..79;
