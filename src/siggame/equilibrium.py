@@ -21,7 +21,10 @@ path, benign, malicious, reaction) label sequence, after which each branch
 gathers its sequence terms path by path. Only the receiver's values depend on
 the belief, so the walk is split there: the path weights, sender values and
 sender deviation gains are built once per state, and each new belief re-runs
-only the belief walk, the receiver pass and the regret scan.
+only the belief walk and the receiver pass. That pass fills the receiver
+tensor a cache-sized block of benign rows at a time and takes each block's
+best responses and least regret before moving on, so the only tensor it
+builds with one entry per joint profile is the receiver tensor itself.
 ``expected_utilities`` values a single profile with a separate scalar walk
 over the scenario's label-keyed tables and serves as the independent oracle;
 both add the same terms in the same order, so they agree bit for bit.
@@ -64,6 +67,10 @@ JOINT_PROFILE_LIMIT = 10_000_000
 # A certified interval reaches at least this far to one side of its scanned
 # belief; beliefs closer than that to a region edge on both sides are not stored.
 MIN_REACH = 2.0**-20
+
+# A scan finds the best responses of this many bytes of receiver values at a
+# time, so that they are still in a core's cache.
+_BLOCK_BYTES = 2**19
 
 _log = logging.getLogger(__name__)
 
@@ -279,8 +286,8 @@ class _WindowScan:
     half of the walk once. It keeps each path's weights, its dead mask and its
     receiver-utility and likelihood grids, and fills ``V_b``, ``V_m`` and the
     gains. ``_walk`` is the belief walk: ``scan`` runs it at one belief and
-    then does the receiver gathers and the regret build, and ``_term_bounds``
-    runs it at both ends of a belief interval.
+    then fills the receiver tensor and finds the least regret, and
+    ``_term_bounds`` runs it at both ends of a belief interval.
 
     The constructor reads the scenario's kernel rows and utility tables into
     index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
@@ -290,10 +297,10 @@ class _WindowScan:
     scalar oracle's value for the same profile bit for bit. The scalar walk's
     early return on a vanishing path becomes the ``dead`` mask on the receiver
     term; the sender terms there are already zero, since both weights are.
-    Each branch gathers the terms of the sequences it plays along a path one
-    axis at a time, so that only the last gather is as large as the receiver
-    tensor, and paths are added in enumeration order from zero, as
-    ``expected_utilities`` adds them.
+    A sender value gathers, path by path, the terms of the sequences its
+    branches play; a receiver value adds, path by path, a slice of that
+    path's terms spread over the other two branches (see ``scan``). Both add
+    paths in enumeration order from zero, as ``expected_utilities`` adds them.
     """
 
     def __init__(self, scenario: Scenario, enum: _Enumeration, x0: int):
@@ -340,6 +347,10 @@ class _WindowScan:
             self.steps.append((grid_of(UR_b[x, a_b, r]), grid_of(UR_m[x, a_m, r]), bayes))
         self.w_b, self.w_m = grid_of(w_b), grid_of(w_m)
         self.dead = (self.w_b == 0.0) & (self.w_m == 0.0)
+        # each Bayes step also keeps its live, moving cells, which ``_term_bounds`` checks
+        self.steps = [
+            (g_b, g_m, bayes and (*bayes, bayes[2] & ~self.dead)) for g_b, g_m, bayes in self.steps
+        ]
         t_b = w_b * (u_b / T)
         t_m = w_m * (u_m / T)
         self.V_b = np.zeros((nb, nr))
@@ -347,14 +358,14 @@ class _WindowScan:
         for p, (seq_s, seq_r) in enumerate(zip(*self.sequences)):
             self.V_b += t_b[p, :, 0].take(seq_s, 0).take(seq_r, 1)
             self.V_m += t_m[p, 0].take(seq_s, 0).take(seq_r, 1)
-        self.gain_b = (self.V_b.max(axis=0) - self.V_b)[:, None, :]
-        self.gain_m = (self.V_m.max(axis=0) - self.V_m)[None, :, :]
+        self.gain_b = self.V_b.max(axis=0) - self.V_b
+        self.gain_m = self.V_m.max(axis=0) - self.V_m
 
     def _walk(self, beta):
         """Run the belief walk from ``beta``, a float or an array that
         broadcasts against the grid. Yields, per step, the receiver-utility
-        grids, each cell's belief and, before a Bayes step, the moving cells
-        and each cell's mixture (None after the last step).
+        grids, each cell's belief and, before a Bayes step, the live, moving
+        cells and each cell's mixture (None after the last step).
 
         Bayes' rule moves a cell's belief only where the two likelihoods
         differ, the belief is inside (0, 1) and the mixture exceeds
@@ -364,9 +375,9 @@ class _WindowScan:
             if bayes is None:
                 yield g_b, g_m, beta, None
                 continue
-            p_b, p_m, moves = bayes
+            p_b, p_m, moves, live_moves = bayes
             denom = p_b * (1.0 - beta) + p_m * beta
-            yield g_b, g_m, beta, (moves, denom)
+            yield g_b, g_m, beta, (live_moves, denom)
             step = moves & (0.0 < beta) & (beta < 1.0) & (denom > MIN_MIXTURE)
             with np.errstate(all="ignore"):
                 beta = np.where(step, p_m * beta / denom, beta)
@@ -374,29 +385,48 @@ class _WindowScan:
     def scan(self, pi: float):
         """Value every joint profile at belief ``pi``; find the first of least regret.
 
-        Regret is the larger sender deviation gain where the receiver branch
-        is a best response, and infinite elsewhere. Zero regret is a pure
-        equilibrium; with none, the first minimizer is the defender-anchored
-        fallback. Returns the receiver tensor, the regret tensor and that
-        profile.
+        A profile's regret is the larger sender deviation gain where its
+        receiver branch is a best response, and infinite elsewhere. Zero
+        regret is a pure equilibrium; with none, the first minimizer in
+        enumeration order is the defender-anchored fallback. Returns the
+        receiver tensor, that profile, its regret and the number of profiles
+        of zero regret.
+
+        Each path's terms are spread once over (benign sequence, malicious
+        branch, receiver branch); a benign row of the receiver tensor then
+        adds, path by path, the slice of the sequence it plays there, a view.
+        Rows are taken in blocks of at most ``_BLOCK_BYTES``, and a block's
+        best responses and least regret are found while it is still in cache,
+        so no tensor as large as the receiver tensor is built beside it.
         """
         r_b_sum = r_m_sum = 0.0
         for g_b, g_m, beta, _ in self._walk(pi):
             r_b_sum = r_b_sum + g_b * (1.0 - beta)
             r_m_sum = r_m_sum + g_m * beta
         t_r = np.where(self.dead, 0.0, (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon)
+        seq_s, seq_r = self.sequences
+        spreads = [t.take(r, 2).take(s, 1) for t, s, r in zip(t_r, seq_s, seq_r)]
+        plays = seq_s.T.tolist()  # each benign branch's sequence number on each path
+        nb, _, nr = self.shape
         V_r = np.zeros(self.shape)
-        for t, seq_s, seq_r in zip(t_r, *self.sequences):
-            V_r += t.take(seq_s, 0).take(seq_s, 1).take(seq_r, 2)
-        regret = np.full(self.shape, np.inf)
-        np.maximum(
-            self.gain_b,
-            self.gain_m,
-            out=regret,
-            where=V_r >= V_r.max(axis=2, keepdims=True),
-        )
-        first = np.unravel_index(int(np.argmin(regret)), self.shape)
-        return V_r, regret, tuple(int(i) for i in first)
+        rows = max(1, _BLOCK_BYTES // V_r[0].nbytes)
+        least, choice, zeros = math.inf, None, 0
+        for lo in range(0, nb, rows):
+            block = V_r[lo : lo + rows]
+            for row, seqs in zip(block, plays[lo : lo + rows]):
+                for spread, s in zip(spreads, seqs):
+                    row += spread[s]
+            pairs = block.reshape(-1, nr)
+            # an argmax and a gather are faster than a max along the short last axis
+            best = pairs[np.arange(len(pairs)), pairs.argmax(axis=1)]
+            cells = lo * nb * nr + np.flatnonzero(pairs >= best[:, None])
+            b, m, r = np.unravel_index(cells, self.shape)
+            regret = np.maximum(self.gain_b[b, r], self.gain_m[m, r])
+            k = int(regret.argmin())
+            if regret[k] < least:
+                least, choice = float(regret[k]), (int(b[k]), int(m[k]), int(r[k]))
+            zeros += int(np.count_nonzero(regret == 0.0))
+        return V_r, choice, least, zeros
 
     @cached_property
     def _ranking(self):
@@ -406,7 +436,7 @@ class _WindowScan:
         flat index), so ``scan`` picks, at any belief, the first profile in
         this order whose receiver branch is a best response.
         """
-        order = np.argsort(np.maximum(self.gain_b, self.gain_m), axis=None, kind="stable")
+        order = np.argsort(np.maximum(self.gain_b[:, None], self.gain_m), axis=None, kind="stable")
         order = order.astype(np.int32)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size, dtype=np.int32)
@@ -437,7 +467,7 @@ class _WindowScan:
         scale = max(float(np.abs(g).max()) for g_b, g_m, _ in self.steps for g in (g_b, g_m))
         ratio = 1.0
         for _, _, bayes in self.steps[:-1]:
-            p_b, p_m, moves = bayes
+            p_b, p_m, moves, _ = bayes
             both = moves & (p_b > 0.0) & (p_m > 0.0)
             if both.any():
                 big, small = np.maximum(p_b, p_m)[both], np.minimum(p_b, p_m)[both]
@@ -458,15 +488,15 @@ class _WindowScan:
         or 1 unchanged, and a dead cell's term is 0 whatever its belief, as
         both its weights are.
         """
-        w_b, w_m, live = self.w_b, self.w_m, ~self.dead
+        w_b, w_m = self.w_b, self.w_m
         lower = upper = 0.0
         for g_b, g_m, beta, bayes in self._walk(np.array([lo, hi])[:, None, None, None, None]):
             term = w_b * (g_b * (1.0 - beta)) + w_m * (g_m * beta)
             lower = lower + term.min(axis=0)
             upper = upper + term.max(axis=0)
             if bayes is not None:
-                moves, denom = bayes
-                if np.any(moves & live & (denom <= 2.0 * MIN_MIXTURE)):
+                live_moves, denom = bayes
+                if np.any(live_moves & (denom <= 2.0 * MIN_MIXTURE)):
                     return None
         return lower / self.horizon, upper / self.horizon
 
@@ -557,11 +587,10 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     """
     enum = _Enumeration(scenario.alphabets, scenario.horizon)
     window = _WindowScan(scenario, enum, scenario.alphabets.state_index(x_now))
-    V_r, regret, (ib, im, ir) = window.scan(belief.pi_m)
-    least = float(regret[ib, im, ir])
+    V_r, (ib, im, ir), least, zeros = window.scan(belief.pi_m)
     if least > 0.0:
         raise NoPureEquilibriumError(
-            f"no pure mutual best response among {regret.size} joint profiles "
+            f"no pure mutual best response among {V_r.size} joint profiles "
             f"(least sender regret {least:.6g})",
             fallback_profile=enum.profile(ib, im, ir),
             fallback_regret=least,
@@ -571,7 +600,7 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
         sender_value_benign=float(window.V_b[ib, ir]),
         sender_value_malicious=float(window.V_m[im, ir]),
         receiver_value=float(V_r[ib, im, ir]),
-        multiplicity=int(np.count_nonzero(regret == 0.0)),
+        multiplicity=zeros,
     )
 
 
@@ -663,14 +692,13 @@ class RecedingHorizonPolicy:
         return self._scan(table, pi_m, state)
 
     def _scan(self, table: _RegionTable, pi_m: float, state: str) -> tuple[str, str, str]:
-        V_r, regret, (ib, im, ir) = table.window.scan(pi_m)
+        V_r, (ib, im, ir), least, _ = table.window.scan(pi_m)
         self.counts["scans"] += 1
         roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
         covered = self._certify(table, V_r, (ib, im, ir), pi_m) if 0.0 < pi_m < 1.0 else None
         if covered is None:
             self.counts["uncovered"] += 1
         else:
-            least = float(regret[ib, im, ir])
             table.insert(*covered, roots, least)
             _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *covered, roots, least)
         return roots

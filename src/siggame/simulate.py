@@ -10,6 +10,8 @@ so any parallel split of the work produces identical results.
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,6 +31,8 @@ from .model import MALICIOUS, Scenario, sample_transition
 
 _MASK64 = (1 << 64) - 1
 ERROR_TALLY = "ERROR"
+
+_log = logging.getLogger(__name__)
 
 
 def derive_episode_seed(base_seed: int, index: int) -> int:
@@ -147,9 +151,10 @@ def run_episode(
 
 def _run_chunk(
     args: tuple[Scenario, int, list[int]]
-) -> list[tuple[int, Trajectory | None, str | None]]:
+) -> tuple[list[tuple[int, Trajectory | None, str | None]], dict[str, int]]:
     """Run consecutive episodes, numbered from ``start``, with one shared
-    policy; each failure is recorded against its episode index."""
+    policy; each failure is recorded against its episode index. Returns the
+    outcomes and the policy's ``counts``."""
     scenario, start, seeds = args
     policy = RecedingHorizonPolicy(scenario)
     out: list[tuple[int, Trajectory | None, str | None]] = []
@@ -158,7 +163,7 @@ def _run_chunk(
             out.append((index, run_episode(scenario, seed, policy), None))
         except Exception as err:  # recorded, not fatal to the batch
             out.append((index, None, str(err)))
-    return out
+    return out, policy.counts
 
 
 def run_batch(
@@ -180,7 +185,8 @@ def run_batch(
     Per-episode failures, such as a worker's exception, are recorded in the
     summary against their episode index instead of aborting the batch. A
     ``window`` that the episodes cannot fill is a ValueError before any
-    episode runs.
+    episode runs. The chunk policies' ``counts``, summed, are logged at INFO
+    level on the ``siggame.simulate`` logger.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -192,13 +198,18 @@ def run_batch(
         bounds = [n_episodes * k // workers for k in range(workers + 1)]
         tasks = [(scenario, lo, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [item for chunk in pool.map(_run_chunk, tasks) for item in chunk]
+            chunks = list(pool.map(_run_chunk, tasks))
     else:
-        outcomes = _run_chunk((scenario, 0, seeds))
-    for index, traj, err in outcomes:
-        results[index] = traj
-        if err is not None:
-            errors.append((index, err))
+        chunks = [_run_chunk((scenario, 0, seeds))]
+    counts: Counter[str] = Counter()
+    for outcomes, chunk_counts in chunks:
+        counts.update(chunk_counts)
+        for index, traj, err in outcomes:
+            results[index] = traj
+            if err is not None:
+                errors.append((index, err))
+    work = " ".join(f"{key}={n}" for key, n in counts.items())
+    _log.info("%d episodes, %d policies: %s", n_episodes, len(chunks), work)
     tallies = {c.value: 0 for c in Classification}
     tallies[ERROR_TALLY] = 0
     # per episode: terminal belief, limit, oscillation, sustained-agreement step

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -357,18 +358,18 @@ class TestValueMatricesAgainstOracle:
         # one object, two beliefs: only the receiver pass is re-run, and both
         # paths add the same float terms in the same order: exact equality
         for belief in (pi, other_pi):
-            V_r, _, _ = window.scan(belief)
+            V_r = window.scan(belief)[0]
             for ib, im, ir in picks:
                 oracle = expected_utilities(
                     scenario, enum.profile(ib, im, ir), BeliefState(belief), state
                 )
                 assert (window.V_b[ib, ir], window.V_m[im, ir], V_r[ib, im, ir]) == oracle
         # the reused object has scanned two beliefs; a fresh one agrees at the second
+        # in the receiver tensor's bits, the choice, its regret and the zero count
         fresh = _WindowScan(scenario, enum, x0).scan(other_pi)
         reused = window.scan(other_pi)
-        assert np.array_equal(reused[0], fresh[0])
-        assert np.array_equal(reused[1], fresh[1])
-        assert reused[2] == fresh[2]
+        assert reused[0].tobytes() == fresh[0].tobytes()
+        assert reused[1:] == fresh[1:]
 
     def test_horizon_three_solve_matches_oracle(self, table1):
         scenario = _with_horizon(table1, 3)
@@ -381,6 +382,60 @@ class TestValueMatricesAgainstOracle:
                 result.receiver_value,
             )
             assert values == expected_utilities(scenario, result.profile, belief, state)
+
+
+class TestRegretStep:
+    """``scan``'s choice, least regret and zero count against the whole
+    regret tensor, built here from its definition."""
+
+    @staticmethod
+    def assert_scan_matches_definition(window, pi):
+        V_r, choice, least, zeros = window.scan(pi)
+        gain_b = window.V_b.max(axis=0) - window.V_b
+        gain_m = window.V_m.max(axis=0) - window.V_m
+        responds = V_r >= V_r.max(axis=2, keepdims=True)
+        regret = np.where(responds, np.maximum(gain_b[:, None, :], gain_m[None, :, :]), np.inf)
+        assert choice == np.unravel_index(int(np.argmin(regret)), regret.shape)
+        assert least == regret.min()
+        assert zeros == np.count_nonzero(regret == 0.0)
+        return zeros
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_windows())
+    def test_random_windows(self, drawn):
+        scenario, pi, state, _ = drawn
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        self.assert_scan_matches_definition(window, pi)
+
+    def test_equal_receiver_utilities(self, table1):
+        # every receiver value is 0, so every receiver branch responds
+        from dataclasses import replace
+
+        flat = dict.fromkeys(table1.utilities.receiver, 0.0)
+        scenario = replace(
+            _with_horizon(table1, 3),
+            utilities=type(table1.utilities)(sender=table1.utilities.sender, receiver=flat),
+        )
+        window = _WindowScan(scenario, _Enumeration(scenario.alphabets, 3), 0)
+        assert not window.scan(0.3)[0].any()
+        self.assert_scan_matches_definition(window, 0.3)
+
+    def test_equilibrium_multiplicity(self, table1):
+        window = _WindowScan(table1, _Enumeration(table1.alphabets, table1.horizon), 0)
+        assert self.assert_scan_matches_definition(window, 0.1) == 16
+
+    def test_horizon_three_solve_memory(self, table1):
+        # a scan builds no tensor as large as the receiver tensor beside it
+        scenario = _with_horizon(table1, 3)
+        receiver_bytes = 8 * joint_profile_count(scenario.alphabets, 3)
+        tracemalloc.start()
+        try:
+            solve_bne(scenario, BeliefState(0.1), "x_n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * receiver_bytes
 
 
 class TestBruteForceCrossCheck:
@@ -545,7 +600,7 @@ def _fresh_scan_roots(scenario):
     def roots(pi, state):
         if state not in windows:
             windows[state] = _WindowScan(scenario, enum, al.state_index(state))
-        _, _, (ib, im, ir) = windows[state].scan(pi)
+        _, (ib, im, ir), _, _ = windows[state].scan(pi)
         b, m, r = enum.sender_branches[ib], enum.sender_branches[im], enum.receiver_branches[ir]
         return al.actions[b[0]], al.actions[m[0]], al.reactions[r[0]]
 

@@ -1,5 +1,6 @@
+import logging
 import statistics
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, replace
 
 import pytest
@@ -104,6 +105,26 @@ class TestRunBatch:
         assert asdict(sequential) == asdict(parallel)
         for a, b in zip(seq_trajs, par_trajs):
             assert asdict(a) == asdict(b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_logs_summed_policy_counts(self, table1, caplog, workers):
+        # 5 episodes: one policy, or chunks of 2 and 3 episodes with a policy each
+        scenario = replace(table1, episode_length=40)
+        _, quiet = run_batch(scenario, 5, base_seed=3, workers=workers)
+        with caplog.at_level(logging.INFO, logger="siggame.simulate"):
+            _, logged = run_batch(scenario, 5, base_seed=3, workers=workers)
+        assert logged == quiet
+        (record,) = [r for r in caplog.records if r.name == "siggame.simulate"]
+        seeds = [derive_episode_seed(3, i) for i in range(5)]
+        expected = Counter()
+        for chunk in [seeds] if workers == 1 else [seeds[:2], seeds[2:]]:
+            policy = RecedingHorizonPolicy(scenario)
+            for seed in chunk:
+                run_episode(scenario, seed, policy)
+            expected.update(policy.counts)
+        assert expected["scans"] > 0
+        work = " ".join(f"{key}={n}" for key, n in expected.items())
+        assert record.getMessage() == f"5 episodes, {workers} policies: {work}"
 
     def test_rejects_empty_batch(self, short_table1):
         with pytest.raises(ValueError):
