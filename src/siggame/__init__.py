@@ -8,12 +8,7 @@ windowed games exactly, and verifies the asymptotic-security diagnostics
 (belief drift, convergence, action agreement) at desk scale.
 """
 
-from .beliefs import (
-    BeliefState,
-    InconsistentObservationError,
-    LikelihoodPair,
-    bayes_update,
-)
+from .beliefs import BeliefState, InconsistentObservationError
 from .diagnostics import (
     Classification,
     ConvergenceReport,
@@ -67,7 +62,6 @@ __all__ = [
     "EnumerationLimitError",
     "EquilibriumResult",
     "InconsistentObservationError",
-    "LikelihoodPair",
     "MALICIOUS",
     "NoPureEquilibriumError",
     "RecedingHorizonPolicy",
@@ -78,7 +72,6 @@ __all__ = [
     "TYPES",
     "UtilityTables",
     "agreement_series",
-    "bayes_update",
     "check_distinguishability",
     "convergence_report",
     "derive_episode_seed",

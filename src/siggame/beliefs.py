@@ -30,19 +30,6 @@ class BeliefState:
             raise ValueError(f"belief must lie in [0, 1], got {self.pi_m}")
 
 
-@dataclass(frozen=True)
-class LikelihoodPair:
-    """Next-state likelihood under each type's prescribed play."""
-
-    p_b: float
-    p_m: float
-
-    def __post_init__(self):
-        for name, p in (("p_b", self.p_b), ("p_m", self.p_m)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-
-
 def mixture_probability(pi_m: float, p_b: float, p_m: float) -> float:
     """Predictive probability of the observation under the belief mixture.
 
@@ -82,12 +69,3 @@ def coefficient_value(pi_m: float, p_b: float, p_m: float, malicious: bool) -> f
         return 1.0
     return (p_m if malicious else p_b) / denom
 
-
-def bayes_update(belief: BeliefState, lik: LikelihoodPair) -> BeliefState:
-    """Posterior after one observation.
-
-    Zero beliefs are absorbing: a prior of exactly 0 or 1 can never move,
-    since the matching coefficient is then identically 1 whenever the update
-    is defined at all.
-    """
-    return BeliefState(posterior_malicious(belief.pi_m, lik.p_b, lik.p_m))

@@ -65,7 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_type, default=None, help="batch base seed (default: config)")
     p.add_argument("--steps", type=int, default=None, help="override episode length")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes, at least 1; never more than the episode count are started",
+    )
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 

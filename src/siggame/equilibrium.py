@@ -30,14 +30,14 @@ over the scenario's label-keyed tables and serves as the independent oracle;
 both add the same terms in the same order, so they agree bit for bit.
 
 The receding-horizon policy scans only where it has not proven the answer.
-The scan's choice is the first profile, in a belief-free order by regret,
-whose receiver branch is a best response, and the belief moves the receiver
-values only. Bayes' rule is monotone in the belief, so the scan's own belief
-walk, run from both ends of a belief interval, bounds every receiver term
-over it. From those bounds, path by path, ``_WindowScan.certifier`` proves
-that the choice stays a best response and that no earlier profile becomes
-one. Each state keeps the intervals proven so far, and a belief inside one
-is answered by a bisect.
+The scan's choice is the first profile, in a belief-free order by regret and
+then flat index, whose receiver branch is a best response, and the belief
+moves the receiver values only. Bayes' rule is monotone in the belief, so the
+scan's own belief walk, run from both ends of a belief interval, bounds every
+receiver term over it. From those bounds, path by path,
+``_WindowScan.certifier`` proves that the choice stays a best response and
+that no profile ahead of it becomes one. Each state keeps the intervals
+proven so far, and a belief inside one is answered by a bisect.
 
 Tie-breaking is lexicographic in enumeration order: trees are enumerated by
 assigning labels (in alphabet order) to nodes ordered by depth then state
@@ -429,20 +429,6 @@ class _WindowScan:
         return V_r, choice, least, zeros
 
     @cached_property
-    def _ranking(self):
-        """The belief-free scan order and each profile's place in it.
-
-        Profiles are sorted by (regret were the receiver best-responding,
-        flat index), so ``scan`` picks, at any belief, the first profile in
-        this order whose receiver branch is a best response.
-        """
-        order = np.argsort(np.maximum(self.gain_b[:, None], self.gain_m), axis=None, kind="stable")
-        order = order.astype(np.int32)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size, dtype=np.int32)
-        return order, rank
-
-    @cached_property
     def _classes(self):
         """Class of each grid cell. A cell's receiver term is a function of
         the belief and of its receiver utilities and likelihoods at every
@@ -524,16 +510,24 @@ class _WindowScan:
         (a) ``choice`` stays a receiver best response: against its sender
             pair every other receiver branch is worth less, or the same on
             every path;
-        (b) no earlier profile in the belief-free scan order becomes one:
+        (b) no profile ahead of ``choice`` in the scan order becomes one:
             each is worth less than the receiver branch that is best against
             its pair at the scanned belief. A profile whose gap at the
             scanned belief exceeds twice the largest drift of a value over
             the interval needs no path-by-path bound.
+
+        The scan order is belief-free: by regret were the receiver
+        best-responding, the larger sender gain, then by flat index. The
+        profiles ahead are read off that key by a mask, in flat order; none
+        of the checks depends on their order.
         """
         nb, _, nr = self.shape
         ib, im, ir = choice
-        order, rank = self._ranking
-        earlier = order[: rank[(ib * nb + im) * nr + ir]]
+        c = (ib * nb + im) * nr + ir
+        key = np.maximum(self.gain_b[:, None], self.gain_m).ravel()
+        ahead = key < key[c]
+        ahead[:c] |= key[:c] == key[c]
+        earlier = np.flatnonzero(ahead)
         pairs = earlier // nr
         by_pair = V_r.reshape(-1, nr)
         best = by_pair.argmax(axis=1)

@@ -178,26 +178,30 @@ def run_batch(
     """Run ``n_episodes`` independent episodes and aggregate diagnostics.
 
     Episode i uses derive_episode_seed(base_seed, i). With ``workers`` > 1
-    the episodes are split into that many contiguous chunks, each run in a
-    separate process with one policy shared across the chunk; trajectories
-    are reassembled in episode order, so the summary is identical at any
-    parallelism degree.
+    the episodes are split into that many contiguous chunks, or one per
+    episode if there are fewer episodes, each run in a separate process with
+    one policy shared across the chunk; the pool has one process per chunk.
+    Trajectories are reassembled in episode order, so the summary is
+    identical at any parallelism degree.
     Per-episode failures, such as a worker's exception, are recorded in the
     summary against their episode index instead of aborting the batch. A
-    ``window`` that the episodes cannot fill is a ValueError before any
-    episode runs. The chunk policies' ``counts``, summed, are logged at INFO
-    level on the ``siggame.simulate`` logger.
+    ``workers`` below 1, or a ``window`` that the episodes cannot fill, is a
+    ValueError before any episode runs. The chunk policies' ``counts``,
+    summed, are logged at INFO level on the ``siggame.simulate`` logger.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     check_window(window, scenario.episode_length)
     seeds = [derive_episode_seed(base_seed, i) for i in range(n_episodes)]
     results: list[Trajectory | None] = [None] * n_episodes
     errors: list[tuple[int, str]] = []
     if workers > 1:
-        bounds = [n_episodes * k // workers for k in range(workers + 1)]
-        tasks = [(scenario, lo, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        n_chunks = min(workers, n_episodes)
+        bounds = [n_episodes * k // n_chunks for k in range(n_chunks + 1)]
+        tasks = [(scenario, lo, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     else:
         chunks = [_run_chunk((scenario, 0, seeds))]

@@ -48,7 +48,7 @@ import pytest
 
 import siggame
 from conftest import build_binary_scenario
-from siggame.beliefs import BeliefState, LikelihoodPair, bayes_update, posterior_malicious
+from siggame.beliefs import BeliefState, posterior_malicious
 from siggame.cli import main
 from siggame.diagnostics import kl_decay_estimate, random_walk_belief, submartingale_margin
 from siggame.equilibrium import NoPureEquilibriumError, RecedingHorizonPolicy, StrategyTree, solve_bne
@@ -82,7 +82,7 @@ def test_criterion_1_bayes_update_exactness():
                 if denom == 0:
                     continue
                 exact = float(Fraction(p_m) * Fraction(pi) / denom)
-                got = bayes_update(BeliefState(pi), LikelihoodPair(p_b, p_m)).pi_m
+                got = posterior_malicious(pi, p_b, p_m)
                 worst = max(worst, abs(got - exact))
                 checked += 1
     elapsed = time.perf_counter() - start

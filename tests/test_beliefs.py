@@ -5,9 +5,8 @@ import pytest
 from siggame.beliefs import (
     BeliefState,
     InconsistentObservationError,
-    LikelihoodPair,
-    bayes_update,
     coefficient_value,
+    posterior_malicious,
 )
 
 
@@ -23,27 +22,27 @@ GRID = [i / 10 for i in range(11)]
 
 class TestBayesUpdate:
     def test_known_value_low(self):
-        out = bayes_update(BeliefState(0.1), LikelihoodPair(0.9, 0.8))
-        assert out.pi_m == pytest.approx(0.08 / 0.89, abs=1e-12)
+        out = posterior_malicious(0.1, 0.9, 0.8)
+        assert out == pytest.approx(0.08 / 0.89, abs=1e-12)
 
     def test_known_value_high(self):
-        out = bayes_update(BeliefState(0.1), LikelihoodPair(0.1, 0.2))
-        assert out.pi_m == pytest.approx(0.02 / 0.11, abs=1e-12)
+        out = posterior_malicious(0.1, 0.1, 0.2)
+        assert out == pytest.approx(0.02 / 0.11, abs=1e-12)
 
     def test_equal_likelihoods_fix_point(self):
-        assert bayes_update(BeliefState(0.1), LikelihoodPair(0.7, 0.7)).pi_m == 0.1
+        assert posterior_malicious(0.1, 0.7, 0.7) == 0.1
 
     def test_zero_prior_absorbing(self):
-        assert bayes_update(BeliefState(0.0), LikelihoodPair(0.9, 0.8)).pi_m == 0.0
+        assert posterior_malicious(0.0, 0.9, 0.8) == 0.0
 
     def test_one_prior_absorbing(self):
-        assert bayes_update(BeliefState(1.0), LikelihoodPair(0.9, 0.8)).pi_m == 1.0
+        assert posterior_malicious(1.0, 0.9, 0.8) == 1.0
 
     def test_inconsistent_observation_raises(self):
         with pytest.raises(InconsistentObservationError):
-            bayes_update(BeliefState(0.5), LikelihoodPair(0.0, 0.0))
+            posterior_malicious(0.5, 0.0, 0.0)
         with pytest.raises(InconsistentObservationError):
-            bayes_update(BeliefState(1.0), LikelihoodPair(0.9, 0.0))
+            posterior_malicious(1.0, 0.9, 0.0)
 
     def test_matches_rational_oracle_on_grid(self):
         for pi in GRID:
@@ -51,13 +50,13 @@ class TestBayesUpdate:
                 for p_m in GRID:
                     if p_b * (1 - pi) + p_m * pi == 0:
                         continue
-                    got = bayes_update(BeliefState(pi), LikelihoodPair(p_b, p_m)).pi_m
+                    got = posterior_malicious(pi, p_b, p_m)
                     assert got == pytest.approx(exact_posterior(pi, p_b, p_m), abs=1e-12)
 
     def test_monotone_in_likelihood_ratio(self):
         for pi in (0.1, 0.3, 0.5, 0.9):
-            up = bayes_update(BeliefState(pi), LikelihoodPair(0.2, 0.4)).pi_m
-            down = bayes_update(BeliefState(pi), LikelihoodPair(0.4, 0.2)).pi_m
+            up = posterior_malicious(pi, 0.2, 0.4)
+            down = posterior_malicious(pi, 0.4, 0.2)
             assert up > pi > down
 
 
@@ -79,8 +78,7 @@ class TestCoefficientValue:
                 for p_m in GRID:
                     if p_b * (1 - pi) + p_m * pi == 0:
                         continue
-                    belief, lik = BeliefState(pi), LikelihoodPair(p_b, p_m)
-                    updated = bayes_update(belief, lik).pi_m
+                    updated = posterior_malicious(pi, p_b, p_m)
                     f_m = coefficient_value(pi, p_b, p_m, malicious=True)
                     f_b = coefficient_value(pi, p_b, p_m, malicious=False)
                     assert f_m * pi == pytest.approx(updated, abs=1e-12)
@@ -93,7 +91,3 @@ class TestValidation:
             BeliefState(1.5)
         with pytest.raises(ValueError):
             BeliefState(-0.1)
-
-    def test_likelihood_range(self):
-        with pytest.raises(ValueError):
-            LikelihoodPair(1.2, 0.5)

@@ -153,6 +153,14 @@ class TestBatchAndDiagnoseCommands:
         assert captured.err.splitlines() == ["error: window must be >= 1, got 0"]
         assert not outdir.exists()
 
+    def test_batch_workers_below_one_writes_nothing(self, table1_path, tmp_path, capsys):
+        outdir = tmp_path / "batch"
+        args = ["batch", "--config", table1_path, "--episodes", "2", "--outdir", str(outdir)]
+        assert main([*args, "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: workers must be >= 1, got 0"]
+        assert not outdir.exists()
 
     def test_short_trajectory_error_names_file(self, table1_path, tmp_path, capsys):
         short = tmp_path / "short.csv"

@@ -707,3 +707,37 @@ class TestCertifiedIntervals:
                     assert policy.decide(pi, state) == scan_roots(pi, state)
         # beliefs 0 and 1 are never stored
         assert policy.counts["uncovered"] >= 2 * len(states)
+
+    def test_horizon_three_intervals_equal_fresh_scans(self, table1, table4):
+        # a window has 2**21 joint profiles at horizon 3; every stored
+        # interval's two ends and midpoint are scanned again by a fresh window
+        for scenario in (_with_horizon(table1, 3), _with_horizon(table4, 3)):
+            policy = RecedingHorizonPolicy(scenario)
+            for state in scenario.alphabets.states:
+                for pi in (0.1, 0.3, 0.7):
+                    policy.decide(pi, state)
+            scan_roots = _fresh_scan_roots(scenario)
+            profiles = joint_profile_count(scenario.alphabets, scenario.horizon)
+            checked = 0
+            for state, table in policy._regions.items():
+                edges = table.edges
+                for k in range(0, len(edges), 2):
+                    lo, hi = edges[k], math.nextafter(edges[k + 1], 0.0)
+                    for pi in (lo, (lo + hi) / 2, hi):
+                        assert scan_roots(pi, state) == table.roots[k + 1]
+                        checked += 1
+                # a window keeps nothing with one entry per joint profile
+                assert all(a.size < profiles for a in _arrays(vars(table.window)))
+            assert checked >= 12
+
+
+def _arrays(node):
+    """Every numpy array held in ``node``, through dicts, lists and tuples."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _arrays(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _arrays(value)

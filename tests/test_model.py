@@ -8,6 +8,7 @@ from siggame.model import (
     Alphabets,
     Scenario,
     TransitionKernel,
+    UtilityTables,
     check_distinguishability,
     sample_transition,
     validate_kernel,
@@ -139,6 +140,15 @@ def _reorder_kernel_states(fields):
     fields["kernel"] = TransitionKernel(alphabets=swapped, table=fields["kernel"].table)
 
 
+def _edit_utility(name, key, value):
+    def edit(fields):
+        tables = {"sender": fields["utilities"].sender, "receiver": fields["utilities"].receiver}
+        tables[name] = {**tables[name], key: value}
+        fields["utilities"] = UtilityTables(**tables)
+
+    return edit
+
+
 class TestScenarioConstruction:
     @pytest.mark.parametrize(
         "edit, message",
@@ -150,8 +160,35 @@ class TestScenarioConstruction:
             (_reorder_kernel_states, "kernel alphabets Alphabets(states=('x_a', 'x_n')"),
             # _Enumeration takes its horizon from a Scenario and relies on this
             (lambda fields: fields.update(horizon=0), "horizon must be >= 1, got 0"),
+            (lambda fields: fields.update(initial_state="x_q"), "initial state 'x_q' not in"),
+            (lambda fields: fields.update(prior=1.5), "prior must lie in [0, 1], got 1.5"),
+            (lambda fields: fields.update(true_type="neutral"), "true type must be one of"),
+            (lambda fields: fields.update(episode_length=0), "episode length must be >= 1, got 0"),
+            (lambda fields: fields.update(base_seed=2**64), "base seed must fit in an unsigned"),
+            (
+                _edit_utility("sender", ("malicious", *NB), math.nan),
+                f"sender utility not finite at ('malicious', {NB[0]!r}",
+            ),
+            (
+                _edit_utility("receiver", ("benign", *NB), math.inf),
+                "receiver utility not finite at ('benign', ",
+            ),
         ],
-        ids=["nan-entry", "short-row", "unknown-state", "missing-row", "reordered", "horizon-0"],
+        ids=[
+            "nan-entry",
+            "short-row",
+            "unknown-state",
+            "missing-row",
+            "reordered",
+            "horizon-0",
+            "initial-state",
+            "prior",
+            "true-type",
+            "episode-length-0",
+            "base-seed",
+            "sender-utility-nan",
+            "receiver-utility-inf",
+        ],
     )
     def test_defect_raises_naming_it(self, table1, edit, message):
         fields = dict(vars(table1))

@@ -144,6 +144,21 @@ class TestUtilityExpansion:
         with pytest.raises(ScenarioFormatError, match="missing"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            ({"x_n": {"a_b": "high"}}, "expected number or mapping, got 'high'"),
+            ({"*": {"*": {"*": {"deep": 1.0}}}}, "nesting deeper than state/action/reaction"),
+        ],
+        ids=["string-leaf", "too-deep"],
+    )
+    def test_malformed_node_names_table(self, table1, node, message):
+        doc = scenario_to_dict(table1)
+        doc["utilities"]["receiver"]["malicious"] = node
+        with pytest.raises(ScenarioFormatError, match=re.escape(message)) as info:
+            scenario_from_dict(doc)
+        assert str(info.value).startswith("utilities.receiver.malicious: ")
+
 
 class TestTrajectoryCsv:
     def test_header_and_rows(self, table1, tmp_path):
@@ -330,3 +345,14 @@ class TestBatchExport:
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["n_episodes"] == 3
         assert doc == json.loads(json.dumps(asdict(summary)))
+
+    def test_failed_episode_is_skipped(self, table1, tmp_path):
+        # a failed episode is None in the batch; its CSV is not written, and
+        # the others keep their episode numbers
+        scenario = replace(table1, episode_length=30)
+        summary, trajectories = run_batch(scenario, 3, base_seed=77)
+        trajectories[1] = None
+        written = write_batch(summary, trajectories, tmp_path / "out")
+        names = sorted(p.name for p in written)
+        assert names == ["episode_0000.csv", "episode_0002.csv", "summary.json"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names

@@ -5,9 +5,10 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from conftest import build_binary_scenario
 from siggame import simulate
 from siggame.equilibrium import RecedingHorizonPolicy
-from siggame.model import MALICIOUS
+from siggame.model import BENIGN, MALICIOUS
 from siggame.simulate import derive_episode_seed, run_batch, run_episode
 
 
@@ -63,6 +64,35 @@ class TestRunEpisode:
         assert len(tail) > 1
         assert all(b == tail[0] for b in tail)
         assert all(f == 1.0 for f in episode.coefficients[last + 1 :])
+
+    @pytest.mark.parametrize("prior, true_type", [(0.0, MALICIOUS), (1.0, BENIGN)])
+    def test_endpoint_belief_is_absorbing(self, prior, true_type):
+        # a_b always leads to x_n and a_m to x_a; each type strictly prefers
+        # its own action, so the realised successor has probability 0 under
+        # the other type's action, and Bayes' rule at the endpoint belief
+        # would divide by a zero mixture
+        leads_to = {"a_b": (1.0, 0.0), "a_m": (0.0, 1.0)}
+        rows = {(x, a): row for x in ("x_n", "x_a") for a, row in leads_to.items()}
+        scenario = build_binary_scenario(
+            rows,
+            lambda t, x, a, r: float(a == ("a_m" if t == MALICIOUS else "a_b")),
+            lambda t, x, a, r: 0.0,
+            prior=prior,
+            true_type=true_type,
+            episode_length=20,
+        )
+        traj = run_episode(scenario, seed=5)
+        kernel, index = scenario.kernel, scenario.alphabets.state_index
+        steps = zip(
+            traj.states, traj.actions_benign, traj.actions_malicious, traj.reactions, traj.states[1:]
+        )
+        zeros = sum(
+            min(kernel.row(x, a_b, r)[index(nxt)], kernel.row(x, a_m, r)[index(nxt)]) == 0.0
+            for x, a_b, a_m, r, nxt in steps
+        )
+        assert zeros > 0
+        assert traj.beliefs == [prior] * 20
+        assert traj.coefficients == [1.0] * 20
 
 
 class TestSeedDerivation:
@@ -129,6 +159,47 @@ class TestRunBatch:
     def test_rejects_empty_batch(self, short_table1):
         with pytest.raises(ValueError):
             run_batch(short_table1, 0, base_seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_checked_before_any_episode(self, short_table1, monkeypatch, workers):
+        def no_episodes(args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
+        with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+            run_batch(short_table1, 3, base_seed=1, workers=workers)
+
+    @pytest.mark.parametrize("n_episodes, workers, pool_size", [(2, 4000, 2), (7, 3, 3)])
+    def test_pool_never_larger_than_chunk_count(
+        self, table1, monkeypatch, caplog, n_episodes, workers, pool_size
+    ):
+        # a stand-in pool records its size and runs the chunks inline, so no
+        # process is started whatever ``workers`` asks for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        scenario = replace(table1, episode_length=30)
+        serial, serial_trajs = run_batch(scenario, n_episodes, base_seed=4)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        with caplog.at_level(logging.INFO, logger="siggame.simulate"):
+            pooled, pooled_trajs = run_batch(scenario, n_episodes, base_seed=4, workers=workers)
+        assert sizes == [pool_size]
+        (record,) = [r for r in caplog.records if r.name == "siggame.simulate"]
+        assert record.getMessage().startswith(f"{n_episodes} episodes, {pool_size} policies: ")
+        assert asdict(pooled) == asdict(serial)
+        assert [asdict(t) for t in pooled_trajs] == [asdict(t) for t in serial_trajs]
 
     @pytest.mark.parametrize(
         "window, message",
