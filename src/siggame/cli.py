@@ -20,7 +20,6 @@ from .diagnostics import (
 from .equilibrium import NoPureEquilibriumError, solve_bne
 from .model import check_distinguishability
 from .scenario_io import (
-    ScenarioFormatError,
     format_trajectory,
     load_scenario,
     read_trajectory,
@@ -214,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioFormatError, FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:  # a ScenarioFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -292,15 +292,16 @@ class _WindowScan:
     The constructor reads the scenario's kernel rows and utility tables into
     index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
     and type. The walk runs on grids indexed by (state path, benign sequence,
-    malicious sequence, reaction sequence) and repeats ``_path_terms`` op for
-    op, in the same order, on the same floats, so every entry equals that
-    scalar oracle's value for the same profile bit for bit. The scalar walk's
-    early return on a vanishing path becomes the ``dead`` mask on the receiver
-    term; the sender terms there are already zero, since both weights are.
-    A sender value gathers, path by path, the terms of the sequences its
-    branches play; a receiver value adds, path by path, a slice of that
-    path's terms spread over the other two branches (see ``scan``). Both add
-    paths in enumeration order from zero, as ``expected_utilities`` adds them.
+    malicious sequence, reaction sequence) and repeats the arithmetic of
+    ``_path_terms`` op for op, in the same order, on the same floats, so every
+    entry equals that scalar oracle's value for the same profile bit for bit.
+    The scalar walk's early return on a vanishing path needs no mask: both
+    weights of a ``dead`` cell are zero, so its terms are zeros, which sums
+    that start from +0 add without changing a bit. A sender value gathers,
+    path by path, the terms of the sequences its branches play; a receiver
+    value adds, path by path, a slice of that path's terms spread over the
+    other two branches (see ``scan``). Both add paths in enumeration order
+    from zero, as ``expected_utilities`` adds them.
     """
 
     def __init__(self, scenario: Scenario, enum: _Enumeration, x0: int):
@@ -368,8 +369,9 @@ class _WindowScan:
         cells and each cell's mixture (None after the last step).
 
         Bayes' rule moves a cell's belief only where the two likelihoods
-        differ, the belief is inside (0, 1) and the mixture exceeds
-        ``MIN_MIXTURE``, as in ``_path_terms``.
+        differ and the mixture exceeds ``MIN_MIXTURE``. ``_path_terms`` also
+        holds the beliefs 0 and 1 fixed, but the update already returns both
+        exactly: ``p_m * 0 / p_b`` is 0 and ``p_m * 1 / p_m`` is 1.
         """
         for g_b, g_m, bayes in self.steps:
             if bayes is None:
@@ -378,7 +380,7 @@ class _WindowScan:
             p_b, p_m, moves, live_moves = bayes
             denom = p_b * (1.0 - beta) + p_m * beta
             yield g_b, g_m, beta, (live_moves, denom)
-            step = moves & (0.0 < beta) & (beta < 1.0) & (denom > MIN_MIXTURE)
+            step = moves & (denom > MIN_MIXTURE)
             with np.errstate(all="ignore"):
                 beta = np.where(step, p_m * beta / denom, beta)
 
@@ -403,7 +405,7 @@ class _WindowScan:
         for g_b, g_m, beta, _ in self._walk(pi):
             r_b_sum = r_b_sum + g_b * (1.0 - beta)
             r_m_sum = r_m_sum + g_m * beta
-        t_r = np.where(self.dead, 0.0, (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon)
+        t_r = (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon
         seq_s, seq_r = self.sequences
         spreads = [t.take(r, 2).take(s, 1) for t, s, r in zip(t_r, seq_s, seq_r)]
         plays = seq_s.T.tolist()  # each benign branch's sequence number on each path
@@ -427,19 +429,6 @@ class _WindowScan:
                 least, choice = float(regret[k]), (int(b[k]), int(m[k]), int(r[k]))
             zeros += int(np.count_nonzero(regret == 0.0))
         return V_r, choice, least, zeros
-
-    @cached_property
-    def _classes(self):
-        """Class of each grid cell. A cell's receiver term is a function of
-        the belief and of its receiver utilities and likelihoods at every
-        step (its weights and Bayes steps follow from those), so cells with
-        equal inputs give bit-identical terms at every belief. Dead cells,
-        whose term is 0, share class -1."""
-        inputs = [g for g_b, g_m, bayes in self.steps for g in (g_b, g_m, *(bayes or ())[:2])]
-        rows = np.stack([g.ravel() for g in inputs], axis=1)
-        classes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(self.dead.shape)
-        classes[self.dead] = -1
-        return classes
 
     @cached_property
     def _margin(self):
@@ -489,13 +478,20 @@ class _WindowScan:
     def _cells(self, ib, im, r_x, r_y):
         """Flat grid cells, one row per path, of receiver branches ``r_x``
         and ``r_y`` against the sender pairs (``ib``, ``im``), and where the
-        two cells' classes differ. All four are index arrays of one length."""
+        two cells' terms may differ; all four are index arrays of one length.
+        Two cells with equal receiver utilities and likelihoods at every step
+        tie at every belief, as do two dead cells. The cells share a path and
+        sender sequences, so only cells along the reaction axis are compared."""
         n_paths, n_a, _, n_r = self.dead.shape
         seq_s, seq_r = self.sequences
         base = ((np.arange(n_paths)[:, None] * n_a + seq_s[:, ib]) * n_a + seq_s[:, im]) * n_r
         x, y = base + seq_r[:, r_x], base + seq_r[:, r_y]
-        classes = self._classes.ravel()
-        return x, y, classes[x] != classes[y]
+        both_dead = self.dead[..., :, None] & self.dead[..., None, :]  # (path, a_b, a_m, r, r')
+        equal = True
+        for g_b, g_m, bayes in self.steps:
+            for g in (g_b, g_m, *(bayes or ())[:2]):
+                equal = equal & (g[..., :, None] == g[..., None, :])
+        return x, y, ~(both_dead | equal).ravel()[x * n_r + seq_r[:, r_y]]
 
     def certifier(self, V_r, choice) -> Callable[[float, float], bool] | None:
         """A test of whether ``scan`` picks ``choice`` at every belief of an
@@ -504,8 +500,9 @@ class _WindowScan:
         test needs is within the margin already at that belief.
 
         Each value difference is bounded path by path from ``_term_bounds``,
-        and a path on which both profiles land in one cell class adds exactly
-        0. The test proves, with ``_margin`` to spare:
+        and a path on which both profiles land in cells with equal inputs,
+        or in two dead cells, adds exactly 0 (see ``_cells``). The test
+        proves, with ``_margin`` to spare:
 
         (a) ``choice`` stays a receiver best response: against its sender
             pair every other receiver branch is worth less, or the same on
@@ -654,9 +651,10 @@ class RecedingHorizonPolicy:
     the receiver pass. The scan then tries to prove its choice on each side
     of the belief in turn: first up to the end of the uncovered stretch
     around it, halving that side's reach on failure until it is below
-    ``MIN_REACH``. The two proven sides make one stored interval; beliefs 0
-    and 1, and beliefs that neither side covers, are answered by their own
-    scan and not stored, so the tables stay bounded.
+    ``MIN_REACH``. The two proven sides make one stored interval. Beliefs 0
+    and 1, which Bayes' rule keeps, are stored alone after one scan; beliefs
+    that neither side covers are scanned each time, so the tables stay bounded.
+    A belief outside [0, 1], or NaN, raises ValueError.
 
     ``counts`` tallies scans, proofs tried and accepted, and scanned beliefs
     left uncovered. Each stored interval is logged at DEBUG level on the
@@ -686,15 +684,17 @@ class RecedingHorizonPolicy:
         return self._scan(table, pi_m, state)
 
     def _scan(self, table: _RegionTable, pi_m: float, state: str) -> tuple[str, str, str]:
+        if not 0.0 <= pi_m <= 1.0:  # NaN too; such a belief is never inside an interval
+            raise ValueError(f"belief {pi_m!r} in state {state!r} is not in [0, 1]")
         V_r, (ib, im, ir), least, _ = table.window.scan(pi_m)
         self.counts["scans"] += 1
         roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
-        covered = self._certify(table, V_r, (ib, im, ir), pi_m) if 0.0 < pi_m < 1.0 else None
-        if covered is None:
+        ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, V_r, (ib, im, ir), pi_m)
+        if ends is None:
             self.counts["uncovered"] += 1
         else:
-            table.insert(*covered, roots, least)
-            _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *covered, roots, least)
+            table.insert(*ends, roots, least)
+            _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *ends, roots, least)
         return roots
 
     def _certify(self, table, V_r, choice, pi):

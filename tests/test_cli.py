@@ -92,6 +92,45 @@ class TestSimulateCommand:
         assert len(out.strip().split("\n")) == 6
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--config", ""],
+            ["validate", "--config", "{dir}"],
+            ["equilibrium", "--config", "{dir}", "--belief", "0.1", "--state", "x_n"],
+            ["diagnose", "--in", "{dir}"],
+            ["batch", "--config", "table1", "--episodes", "1", "--outdir", "{file}"],
+        ],
+        ids=[
+            "empty-config",
+            "directory-config",
+            "directory-equilibrium",
+            "directory-in",
+            "file-outdir",
+        ],
+    )
+    def test_one_error_line(self, argv, tmp_path, capsys):
+        file = tmp_path / "file"
+        file.write_text("")
+        argv = [arg.format(dir=tmp_path, file=file) for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_directory_config_never_reads_a_sibling_file(self, table1_path, tmp_path, capsys):
+        # an existing path is read as given, so ``d`` never resolves to ``d.json``
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d.json").write_text(open(table1_path).read())
+        assert main(["validate", "--config", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+
 class TestBatchAndDiagnoseCommands:
     def test_batch_writes_files_then_diagnose_reads_them(self, table1_path, tmp_path, capsys):
         outdir = tmp_path / "batch"

@@ -583,11 +583,50 @@ class TestRecedingHorizonPolicy:
         assert set(policy.counts.values()) == {0}
         policy.decide(0.1, "x_n")
         policy.decide(0.1, "x_n")
-        policy.decide(0.0, "x_n")
+        for pi in (0.0, 1.0, 0.0, 1.0):
+            policy.decide(pi, "x_n")
         counts = policy.counts
-        assert counts["scans"] == 2
-        assert counts["uncovered"] == 1  # belief 0 is scanned, never stored
+        assert counts["scans"] == 3  # beliefs 0 and 1 are stored after one scan each
+        assert counts["uncovered"] == 0
         assert 1 <= counts["proofs_accepted"] <= counts["proofs_tried"]
+
+    @pytest.mark.parametrize("pi", [math.nan, 1.5, -0.25, math.inf])
+    def test_belief_outside_unit_interval_raises(self, table1, pi):
+        policy = RecedingHorizonPolicy(table1)
+        with pytest.raises(ValueError, match=r"belief .* in state 'x_n' is not in \[0, 1\]"):
+            policy.decide(pi, "x_n")
+        assert policy.counts["scans"] == 0
+        assert policy._regions["x_n"].edges == []
+
+    def test_reaction_indifferent_state_is_covered(self, scenario_builder):
+        # the kernel and the receiver's utility in x_a ignore the reaction, so
+        # reaction sequences that differ only there tie exactly and every
+        # scanned belief is still proven inside an interval
+        policy = RecedingHorizonPolicy(_reaction_indifferent(scenario_builder))
+        for pi in np.random.default_rng(3).uniform(size=100):
+            for state in ("x_n", "x_a"):
+                policy.decide(float(pi), state)
+        assert policy.counts["uncovered"] == 0
+        assert policy.counts["scans"] <= 40
+
+
+def _reaction_indifferent(build, horizon=2):
+    """``table1``'s kernel and sender utilities; the receiver's utilities in
+    ``x_a`` do not depend on the reaction."""
+    rows = {("x_n", "a_b"): (0.9, 0.1), ("x_n", "a_m"): (0.8, 0.2)}
+    rows |= {("x_a", "a_b"): (0.8, 0.2), ("x_a", "a_m"): (0.7, 0.3)}
+
+    def sender(t, x, a, r):
+        if t == BENIGN:
+            return 1.0 if x == "x_n" else 0.0
+        return 0.0 if r == "r_m" else (1.0 if x == "x_n" else 2.0)
+
+    def receiver(t, x, a, r):
+        if x == "x_a":
+            return 0.5 if t == BENIGN else 0.25
+        return float((t == BENIGN) == (r == "r_b"))
+
+    return build(rows, sender, receiver, horizon=horizon)
 
 
 def _fresh_scan_roots(scenario):
@@ -667,8 +706,7 @@ def _receiver_terms(window, pi):
     for g_b, g_m, beta, _ in window._walk(pi):
         r_b_sum = r_b_sum + g_b * (1.0 - beta)
         r_m_sum = r_m_sum + g_m * beta
-    terms = (window.w_b * r_b_sum + window.w_m * r_m_sum) / window.horizon
-    return np.where(window.dead, 0.0, terms)
+    return (window.w_b * r_b_sum + window.w_m * r_m_sum) / window.horizon
 
 
 class TestCertifiedIntervals:
@@ -691,6 +729,50 @@ class TestCertifiedIntervals:
             assert np.all(terms <= upper + margin)
 
     @settings(max_examples=40, deadline=None)
+    @given(random_windows())
+    def test_cells_without_difference_have_equal_terms(self, drawn):
+        # ``_cells`` calls two cells tied when their inputs are equal or both
+        # are dead; the certifier then adds exactly 0, which holds at any belief
+        scenario, pi, state, rng = drawn
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        nb, _, nr = window.shape
+        ib, im = rng.integers(nb, size=64), rng.integers(nb, size=64)
+        x, y, differ = window._cells(ib, im, rng.integers(nr, size=64), rng.integers(nr, size=64))
+        x, y = x[~differ], y[~differ]
+        for belief in (0.0, 1.0, pi):
+            terms = _receiver_terms(window, belief)
+            assert np.all(terms[window.dead] == 0.0)  # zeros of either sign
+            assert np.all(terms.ravel()[x] == terms.ravel()[y])
+
+    def test_distinct_cells_with_equal_inputs_tie(self, scenario_builder):
+        # two reaction sequences that differ only in x_a give bit-equal terms,
+        # and ``_cells`` reports no difference for them
+        scenario = _reaction_indifferent(scenario_builder)
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index("x_n"))
+        nb, _, nr = window.shape
+        ib, im, r_x, r_y = (a.ravel() for a in np.indices((nb, nb, nr, nr)))
+        x, y, differ = window._cells(ib, im, r_x, r_y)
+        tied = (x != y) & ~differ
+        assert tied.any()
+        for belief in (0.0, 0.3, 1.0):
+            terms = _receiver_terms(window, belief).ravel()
+            assert np.all(terms[x[tied]] == terms[y[tied]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_windows())
+    def test_walk_keeps_beliefs_zero_and_one(self, drawn):
+        # Bayes' rule returns both ends exactly, so the walk needs no mask for them
+        scenario, _, state, _ = drawn
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        for _, _, beta, _ in window._walk(np.array([0.0, 1.0])[:, None, None, None, None]):
+            zero, one = np.broadcast_to(beta, (2, *window.dead.shape))
+            assert np.all(zero == 0.0) and not np.signbit(zero).any()
+            assert np.all(one == 1.0)
+
+    @settings(max_examples=40, deadline=None)
     @given(policy_queries())
     def test_answers_equal_fresh_scans(self, drawn):
         scenario, queried = drawn
@@ -703,10 +785,15 @@ class TestCertifiedIntervals:
         # the doubles on both sides of every stored interval end
         for state, table in policy._regions.items():
             for edge in list(table.edges):
-                for pi in (math.nextafter(edge, 0.0), edge):
+                # belief 1's interval ends one double above 1, which is no belief
+                for pi in (math.nextafter(edge, 0.0), min(edge, 1.0)):
                     assert policy.decide(pi, state) == scan_roots(pi, state)
-        # beliefs 0 and 1 are never stored
-        assert policy.counts["uncovered"] >= 2 * len(states)
+        # beliefs 0 and 1, queried above, were stored after one scan each
+        scans = policy.counts["scans"]
+        for state in states:
+            for pi in (0.0, 1.0):
+                assert policy.decide(pi, state) == scan_roots(pi, state)
+        assert policy.counts["scans"] == scans
 
     def test_horizon_three_intervals_equal_fresh_scans(self, table1, table4):
         # a window has 2**21 joint profiles at horizon 3; every stored
