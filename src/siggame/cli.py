@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="convergence and agreement reports for trajectory CSVs")
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser(
         "appendix-a", help="closed-form belief after k balanced random-walk excursions"

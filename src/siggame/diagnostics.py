@@ -2,7 +2,8 @@
 
 These checks make the asymptotic claims about the closed loop measurable at
 desk scale: the belief on the true type should drift upward (an exact
-one-step inequality, checked by enumeration), settle without oscillation, and
+one-step inequality for any root triple, checked by enumeration through the
+closed loop's own Bayes step), settle without oscillation, and
 either the Bayes factor pins to one or the belief decays to zero. The KL-rate
 estimate is a heuristic predictor of how fast a belief decays between
 distinguishable regimes; it is reported, never asserted.
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .beliefs import BeliefState, mixture_probability
+from .beliefs import posterior_malicious
 from .model import MALICIOUS, Scenario
 
 if TYPE_CHECKING:
-    from .equilibrium import StrategyTree
     from .simulate import Trajectory
 
 DEFAULT_WINDOW = 20
@@ -45,39 +45,32 @@ class ConvergenceReport:
 
 
 def submartingale_margin(
-    scenario: Scenario,
-    profile: "StrategyTree",
-    history: Sequence[str],
-    belief_at_history: BeliefState,
+    scenario: Scenario, roots: tuple[str, str, str], state: str, belief: float
 ) -> float:
     """One-step conditional drift of the belief on the true type.
 
-    Exact enumeration of successors of the last history state under the
-    profile's root prescriptions: expected updated belief minus the current
-    one, on the true type's coordinate and under its transition law.
-    Successor states whose mixture probability vanishes are excluded; they
-    carry no true-type probability whenever the current belief is positive.
+    ``roots`` is the (benign action, malicious action, reaction) triple played
+    in ``state`` and ``belief`` the probability of the malicious type. Exact
+    enumeration of the successors the true type reaches, each updated by
+    ``posterior_malicious``: expected updated belief minus the current one, on
+    the true type's coordinate and under its transition law. Beliefs 0 and 1
+    stay put, as in the closed loop, so their drift is exactly 0. A reached
+    successor whose mixture is at most ``MIN_MIXTURE`` raises
+    ``InconsistentObservationError``.
     """
-    if not history:
-        raise ValueError("history must contain at least one state")
-    if profile.depth < 1:
-        raise ValueError("profile must cover at least one more step")
-    x_now = history[-1]
-    pi = belief_at_history.pi_m
-    a_b, a_m, reaction = profile.root_prescriptions()
-    row_b = scenario.kernel.row(x_now, a_b, reaction)
-    row_m = scenario.kernel.row(x_now, a_m, reaction)
+    if belief in (0.0, 1.0):
+        return 0.0
+    a_b, a_m, reaction = roots
+    row_b = scenario.kernel.row(state, a_b, reaction)
+    row_m = scenario.kernel.row(state, a_m, reaction)
     malicious = scenario.true_type == MALICIOUS
-    current = pi if malicious else 1.0 - pi
     expected = 0.0
     for p_b, p_m in zip(row_b, row_m):
-        denom = mixture_probability(pi, p_b, p_m)
-        if denom <= 0.0:
-            continue
-        posterior_m = p_m * pi / denom
         weight = p_m if malicious else p_b
-        expected += weight * (posterior_m if malicious else 1.0 - posterior_m)
-    return expected - current
+        if weight > 0.0:
+            posterior = posterior_malicious(belief, p_b, p_m)
+            expected += weight * (posterior if malicious else 1.0 - posterior)
+    return expected - (belief if malicious else 1.0 - belief)
 
 
 def check_window(window: int, length: int) -> None:

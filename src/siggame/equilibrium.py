@@ -493,6 +493,17 @@ class _WindowScan:
                 equal = equal & (g[..., :, None] == g[..., None, :])
         return x, y, ~(both_dead | equal).ravel()[x * n_r + seq_r[:, r_y]]
 
+    def _ahead(self, ib, im, ir):
+        """Flat indices of the profiles ahead of (``ib``, ``im``, ``ir``) in
+        the belief-free scan order: by regret were the receiver best-responding,
+        the larger sender gain ``k``, then by flat index."""
+        nb, _, nr = self.shape
+        c = (ib * nb + im) * nr + ir
+        k = max(self.gain_b[ib, ir], self.gain_m[im, ir])
+        ahead = ((self.gain_b[:, None] <= k) & (self.gain_m <= k)).ravel()
+        ahead[c:] = ((self.gain_b[:, None] < k) & (self.gain_m < k)).ravel()[c:]
+        return np.flatnonzero(ahead)
+
     def certifier(self, V_r, choice) -> Callable[[float, float], bool] | None:
         """A test of whether ``scan`` picks ``choice`` at every belief of an
         interval; ``V_r`` and ``choice`` are ``scan``'s output at a belief
@@ -513,18 +524,12 @@ class _WindowScan:
             scanned belief exceeds twice the largest drift of a value over
             the interval needs no path-by-path bound.
 
-        The scan order is belief-free: by regret were the receiver
-        best-responding, the larger sender gain, then by flat index. The
-        profiles ahead are read off that key by a mask, in flat order; none
-        of the checks depends on their order.
+        The profiles ahead come from ``_ahead``; none of the checks depends
+        on their order.
         """
         nb, _, nr = self.shape
         ib, im, ir = choice
-        c = (ib * nb + im) * nr + ir
-        key = np.maximum(self.gain_b[:, None], self.gain_m).ravel()
-        ahead = key < key[c]
-        ahead[:c] |= key[:c] == key[c]
-        earlier = np.flatnonzero(ahead)
+        earlier = self._ahead(ib, im, ir)
         pairs = earlier // nr
         by_pair = V_r.reshape(-1, nr)
         best = by_pair.argmax(axis=1)

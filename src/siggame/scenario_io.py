@@ -1,10 +1,11 @@
 """Scenario files, trajectory CSV export, and report serialization.
 
-Scenario files are JSON. Kernels may use the ``reaction_independent``
-shorthand (one row per state/action, expanded over reactions). Utility tables
-nest state -> action -> reaction; a number at any level is constant over the
-remaining levels and the key "*" matches every label at its level, with an
-explicit label overriding a wildcard.
+Scenario files are JSON, and each field takes its JSON type uncoerced (a
+JSON integer also serves as a number). Kernels may use the
+``reaction_independent`` shorthand (one row per state/action, expanded over
+reactions). Utility tables nest state -> action -> reaction; a number at any
+level is constant over the remaining levels and the key "*" matches every
+label at its level, with an explicit label overriding a wildcard.
 
 Trajectory CSVs have the fixed header
 ``k,state,action_b,action_m,applied_action,reaction,belief_m,bayes_coeff,agreement``
@@ -65,11 +66,13 @@ def _require(doc: Any, key: str, where: str) -> Any:
 
 
 def _as(kind: type, node: Any, where: str) -> Any:
-    """``kind(node)``, or a format error naming the field."""
-    try:
-        return kind(node)
-    except (TypeError, ValueError):
-        raise ScenarioFormatError(f"{where}: expected {kind.__name__}, got {node!r}") from None
+    """``node`` if it is a JSON value of ``kind``, or a format error naming
+    the field. Nothing is coerced: a boolean is no number, and only a float
+    field takes a JSON integer, as the same number."""
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(node, kinds) or (isinstance(node, bool) and kind is not bool):
+        raise ScenarioFormatError(f"{where}: expected {kind.__name__}, got {node!r}")
+    return float(node) if kind is float else node
 
 
 def _row(node: Any, where: str) -> tuple[float, ...]:
@@ -78,7 +81,9 @@ def _row(node: Any, where: str) -> tuple[float, ...]:
 
 def _parse_kernel(doc: dict, alphabets: Alphabets) -> TransitionKernel:
     rows = _as(dict, _require(doc, "rows", "kernel"), "kernel.rows")
-    reaction_independent = bool(doc.get("reaction_independent", False))
+    reaction_independent = _as(
+        bool, doc.get("reaction_independent", False), "kernel.reaction_independent"
+    )
     table: dict[tuple[str, str, str], tuple[float, ...]] = {}
     for x, by_action in rows.items():
         for a, entry in _as(dict, by_action, f"kernel.rows.{x}").items():
@@ -145,7 +150,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     defect found by the Scenario constructor is a ScenarioFormatError."""
     alpha_doc = _require(doc, "alphabets", "document")
     labels = [
-        _as(tuple, _require(alpha_doc, key, "alphabets"), f"alphabets.{key}")
+        tuple(_as(list, _require(alpha_doc, key, "alphabets"), f"alphabets.{key}"))
         for key in ("states", "actions", "reactions")
     ]
     try:

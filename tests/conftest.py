@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from siggame.model import TYPES, Alphabets, Scenario, TransitionKernel, UtilityTables
+from siggame.model import MALICIOUS, TYPES, Alphabets, Scenario, TransitionKernel, UtilityTables
 from siggame.scenario_io import load_scenario, resolve_config_path
 
 
@@ -60,3 +60,40 @@ def build_binary_scenario(
 @pytest.fixture
 def scenario_builder():
     return build_binary_scenario
+
+
+def labelled_alphabets(n_states, n_actions, n_reactions):
+    """Alphabets of the given sizes, labelled x0.., a0.. and r0.."""
+    return Alphabets(
+        states=tuple(f"x{i}" for i in range(n_states)),
+        actions=tuple(f"a{i}" for i in range(n_actions)),
+        reactions=tuple(f"r{i}" for i in range(n_reactions)),
+    )
+
+
+def random_scenario(al, horizon, rng):
+    """A scenario over ``al`` with kernel rows and utilities drawn from ``rng``.
+
+    Kernel rows come from small integer weights, so zero probabilities
+    (vanishing paths) and equal likelihoods under both actions are common.
+    """
+    table = {}
+    for key in itertools.product(al.states, al.actions, al.reactions):
+        weights = rng.integers(0, 3, size=len(al.states)).astype(float)
+        if weights.sum() == 0.0:
+            weights[rng.integers(len(weights))] = 1.0
+        table[key] = tuple(weights / weights.sum())
+    keys = list(itertools.product(TYPES, al.states, al.actions, al.reactions))
+    utilities = UtilityTables(
+        sender={k: float(rng.uniform(-5, 5)) for k in keys},
+        receiver={k: float(rng.uniform(-5, 5)) for k in keys},
+    )
+    return Scenario(
+        alphabets=al,
+        kernel=TransitionKernel(alphabets=al, table=table),
+        utilities=utilities,
+        initial_state=al.states[0],
+        prior=0.5,
+        true_type=MALICIOUS,
+        horizon=horizon,
+    )

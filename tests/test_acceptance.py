@@ -51,7 +51,7 @@ from conftest import build_binary_scenario
 from siggame.beliefs import BeliefState, posterior_malicious
 from siggame.cli import main
 from siggame.diagnostics import kl_decay_estimate, random_walk_belief, submartingale_margin
-from siggame.equilibrium import NoPureEquilibriumError, RecedingHorizonPolicy, StrategyTree, solve_bne
+from siggame.equilibrium import NoPureEquilibriumError, RecedingHorizonPolicy, solve_bne
 from siggame.model import BENIGN, MALICIOUS
 from siggame.scenario_io import load_scenario, resolve_config_path, write_batch
 from siggame.simulate import run_batch
@@ -93,40 +93,31 @@ def test_criterion_1_bayes_update_exactness():
 
 
 def test_criterion_2_exact_submartingale_margins(table1):
+    # every root triple, at each state the true type reaches within four steps
+    # of the initial state under it, at every grid belief
     start = time.perf_counter()
     al = table1.alphabets
     beliefs = [i / 10 for i in range(1, 10)]
     worst = math.inf
     checked = 0
-    for a_b, a_m, reaction in itertools.product(al.actions, al.actions, al.reactions):
-        profile = StrategyTree(
-            depth=1,
-            sender={BENIGN: {(): a_b}, MALICIOUS: {(): a_m}},
-            receiver={(): reaction},
-        )
-        applied = a_m if table1.true_type == MALICIOUS else a_b
-        histories = [(table1.initial_state,)]
+    for roots in itertools.product(al.actions, al.actions, al.reactions):
+        applied = roots[1] if table1.true_type == MALICIOUS else roots[0]
+        reached = {table1.initial_state}
         for _ in range(4):
-            extended = []
-            for history in histories:
-                row = table1.kernel.row(history[-1], applied, reaction)
-                for state, p in zip(al.states, row):
-                    if p > 0.0:
-                        extended.append(history + (state,))
-            histories = extended
-            for history in histories:
-                for pi in beliefs:
-                    margin = submartingale_margin(table1, profile, history, BeliefState(pi))
-                    worst = min(worst, margin)
-                    checked += 1
-        for history in [(table1.initial_state,)]:
+            reached |= {
+                state
+                for x in reached
+                for state, p in zip(al.states, table1.kernel.row(x, applied, roots[2]))
+                if p > 0.0
+            }
+        for state in reached:
             for pi in beliefs:
-                margin = submartingale_margin(table1, profile, history, BeliefState(pi))
-                worst = min(worst, margin)
+                worst = min(worst, submartingale_margin(table1, roots, state, pi))
                 checked += 1
     elapsed = time.perf_counter() - start
-    passed = worst >= -1e-12 and elapsed < 10.0
+    passed = worst >= -1e-12 and elapsed < 10.0 and checked == 144
     _report(2, "one-step belief drift never negative", passed, f"{checked} margins, min {worst:.3e}, {elapsed:.2f}s")
+    assert checked == 144  # 8 root triples x 2 states x 9 beliefs
     assert worst >= -1e-12
     assert elapsed < 10.0
 

@@ -173,15 +173,33 @@ class TestBatchAndDiagnoseCommands:
                 actions_benign=["a_b"] * 30,
                 actions_malicious=["a_m"] * 30,
                 reactions=["r_m"] * 30,
-                beliefs=[0.99] * 30,
+                beliefs=[0.995] * 30,
                 coefficients=[1.0] * 30,
             ),
             near_one,
         )
         assert main(["diagnose", "--in", str(near_one)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["reports"][0]["limit_estimate"] == pytest.approx(0.99)
+        assert doc["reports"][0]["limit_estimate"] == pytest.approx(0.995)
         assert doc["detection_averse"] is False
+
+    def test_default_diagnose_matches_batch_summary(self, tmp_path, capsys):
+        # both commands classify with DEFAULT_TOL unless told otherwise
+        outdir = tmp_path / "batch"
+        argv = ["--config", "table4", "--episodes", "40", "--seed", "11", "--outdir", str(outdir)]
+        assert main(["batch", *argv]) == 0
+        capsys.readouterr()
+        episodes = sorted(str(p) for p in outdir.glob("episode_*.csv"))
+        assert main(["diagnose", "--in", *episodes]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        summary = json.loads((outdir / "summary.json").read_text())
+        expected = {"F_TO_ONE": 32, "PI_TO_ZERO": 0, "UNDECIDED": 8, "ERROR": 0}
+        assert summary["classifications"] == expected
+        tally = dict.fromkeys(summary["classifications"], 0)
+        for report, limit in zip(reports, summary["limit_estimates"], strict=True):
+            assert report["limit_estimate"] == pytest.approx(limit, abs=1e-11)
+            tally[report["classification"]] += 1
+        assert tally == summary["classifications"]
 
     def test_batch_window_below_one_writes_nothing(self, table1_path, tmp_path, capsys):
         outdir = tmp_path / "batch"

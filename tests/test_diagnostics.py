@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from siggame.beliefs import BeliefState
+from conftest import labelled_alphabets, random_scenario
+from siggame.beliefs import MIN_MIXTURE, InconsistentObservationError
 from siggame.diagnostics import (
     Classification,
     agreement_series,
@@ -15,17 +18,8 @@ from siggame.diagnostics import (
     random_walk_belief,
     submartingale_margin,
 )
-from siggame.equilibrium import StrategyTree
-from siggame.model import BENIGN, MALICIOUS
-from siggame.simulate import Trajectory, run_episode
-
-
-def one_step_profile(action_b, action_m, reaction):
-    return StrategyTree(
-        depth=1,
-        sender={BENIGN: {(): action_b}, MALICIOUS: {(): action_m}},
-        receiver={(): reaction},
-    )
+from siggame.model import BENIGN, MALICIOUS, TYPES
+from siggame.simulate import Trajectory, run_batch, run_episode
 
 
 def series_trajectory(beliefs, coefficients=None, agreement=None):
@@ -53,53 +47,93 @@ def series_trajectory(beliefs, coefficients=None, agreement=None):
 
 class TestSubmartingaleMargin:
     def test_pooling_profile_has_zero_margin(self, table1):
-        margin = submartingale_margin(
-            table1, one_step_profile("a_b", "a_b", "r_b"), ("x_n",), BeliefState(0.1)
-        )
+        margin = submartingale_margin(table1, ("a_b", "a_b", "r_b"), "x_n", 0.1)
         assert margin == pytest.approx(0.0, abs=1e-15)
 
     def test_separating_profile_known_value(self, table1):
         # exact two-successor enumeration:
         # 0.8 * (0.08/0.89) + 0.2 * (0.02/0.11) - 0.1 = 81/9790
-        margin = submartingale_margin(
-            table1, one_step_profile("a_b", "a_m", "r_b"), ("x_n",), BeliefState(0.1)
-        )
+        margin = submartingale_margin(table1, ("a_b", "a_m", "r_b"), "x_n", 0.1)
         expected = float(
             Fraction(8, 10) * Fraction(8, 89) + Fraction(2, 10) * Fraction(2, 11) - Fraction(1, 10)
         )
         assert margin == pytest.approx(expected, abs=1e-12)
         assert margin == pytest.approx(0.0082737, abs=1e-7)
 
-    def test_certain_belief_has_zero_margin(self, table1):
-        for pi in (0.0, 1.0):
-            margin = submartingale_margin(
-                table1, one_step_profile("a_b", "a_m", "r_b"), ("x_a",), BeliefState(pi)
-            )
-            assert margin == pytest.approx(0.0, abs=1e-15)
+    def test_certain_belief_has_zero_margin(self, table1, scenario_builder):
+        # on the zero-entry kernel a successor only the malicious type reaches
+        # has mixture 0 at belief 0, as does one only the benign type reaches
+        # at belief 1: both beliefs stay put, as in the closed loop
+        rows = {("x_n", "a_b"): (1.0, 0.0), ("x_n", "a_m"): (0.0, 1.0)}
+        rows.update({("x_a", a): (0.5, 0.5) for a in ("a_b", "a_m")})
+        scenarios = [table1] + [
+            scenario_builder(rows, lambda *k: 0.0, lambda *k: 0.0, true_type=t) for t in TYPES
+        ]
+        for scenario in scenarios:
+            for roots in itertools.product(("a_b", "a_m"), ("a_b", "a_m"), ("r_b", "r_m")):
+                for state in ("x_n", "x_a"):
+                    for pi in (0.0, 1.0):
+                        assert submartingale_margin(scenario, roots, state, pi) == 0.0
 
-    def test_exhaustive_nonnegative_on_short_histories(self, table1):
-        """Every depth-1 profile, reachable history of length <= 3, and belief
-        grid point keeps a nonnegative margin (exact enumeration)."""
-        states = table1.alphabets.states
-        for a_b, a_m, r in itertools.product(
-            table1.alphabets.actions, table1.alphabets.actions, table1.alphabets.reactions
-        ):
-            profile = one_step_profile(a_b, a_m, r)
-            for length in (1, 2, 3):
-                for tail in itertools.product(states, repeat=length - 1):
-                    history = (table1.initial_state,) + tail
-                    for belief in [i / 10 for i in range(1, 10)]:
-                        margin = submartingale_margin(
-                            table1, profile, history, BeliefState(belief)
-                        )
-                        assert margin >= -1e-12
+    def test_vanishing_mixture_raises(self, scenario_builder):
+        # x_a is reached by the malicious type only; at belief 1e-300 its
+        # mixture 0.5e-300 is below MIN_MIXTURE, so Bayes' rule is undefined
+        rows = {(x, "a_b"): (1.0, 0.0) for x in ("x_n", "x_a")}
+        rows.update({(x, "a_m"): (0.5, 0.5) for x in ("x_n", "x_a")})
+        scenario = scenario_builder(rows, lambda *k: 0.0, lambda *k: 0.0)
+        with pytest.raises(InconsistentObservationError):
+            submartingale_margin(scenario, ("a_b", "a_m", "r_b"), "x_n", 1e-300)
+        assert submartingale_margin(scenario, ("a_b", "a_m", "r_b"), "x_n", 1e-3) >= 0.0
+
+    def test_exhaustive_nonnegative_on_every_state(self, table1):
+        """Every root triple, state and belief grid point keeps a nonnegative
+        margin (exact enumeration)."""
+        al = table1.alphabets
+        for roots in itertools.product(al.actions, al.actions, al.reactions):
+            for state in al.states:
+                for belief in [i / 10 for i in range(1, 10)]:
+                    assert submartingale_margin(table1, roots, state, belief) >= -1e-12
 
     def test_benign_true_type_margin(self, table1):
         scenario = replace(table1, true_type=BENIGN)
-        margin = submartingale_margin(
-            scenario, one_step_profile("a_b", "a_m", "r_b"), ("x_n",), BeliefState(0.1)
-        )
+        margin = submartingale_margin(scenario, ("a_b", "a_m", "r_b"), "x_n", 0.1)
         assert margin >= -1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(itertools.product((2, 3), repeat=3))),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(TYPES),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_nonnegative_for_any_play(self, shape, seed, true_type, belief):
+        # claim 1 at one step: for any roots, E[p_m / D] >= 1 by Cauchy-Schwarz,
+        # where D is the mixture, whenever Bayes' rule is defined on every
+        # successor the true type reaches
+        rng = np.random.default_rng(seed)
+        scenario = replace(random_scenario(labelled_alphabets(*shape), 1, rng), true_type=true_type)
+        al = scenario.alphabets
+        roots = tuple(str(rng.choice(labels)) for labels in (al.actions, al.actions, al.reactions))
+        state = str(rng.choice(al.states))
+        row_b = scenario.kernel.row(state, roots[0], roots[2])
+        row_m = scenario.kernel.row(state, roots[1], roots[2])
+        reached = zip(row_b, row_m, row_m if true_type == MALICIOUS else row_b)
+        assume(all(p_b * (1 - belief) + p_m * belief > MIN_MIXTURE for p_b, p_m, w in reached if w))
+        assert submartingale_margin(scenario, roots, state, belief) >= -1e-12
+
+    @pytest.mark.parametrize("config", ["table1", "table4"])
+    def test_nonnegative_along_closed_loop(self, config, request):
+        # the roots the policy played, at the belief it played them at
+        scenario = request.getfixturevalue(config)
+        _, trajectories = run_batch(scenario, 20, scenario.base_seed)
+        checked = 0
+        for traj in trajectories:
+            before = [traj.prior] + traj.beliefs[:-1]
+            plays = zip(traj.actions_benign, traj.actions_malicious, traj.reactions)
+            for roots, state, pi in zip(plays, traj.states, before):
+                assert submartingale_margin(scenario, roots, state, pi) >= -1e-12
+                checked += 1
+        assert checked == 20 * scenario.episode_length
 
 
 class TestConvergenceReport:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import labelled_alphabets, random_scenario
 from siggame.beliefs import BeliefState
 from siggame.equilibrium import (
     EnumerationLimitError,
@@ -23,15 +24,7 @@ from siggame.equilibrium import (
     joint_profile_count,
     solve_bne,
 )
-from siggame.model import (
-    BENIGN,
-    MALICIOUS,
-    TYPES,
-    Alphabets,
-    Scenario,
-    TransitionKernel,
-    UtilityTables,
-)
+from siggame.model import BENIGN, MALICIOUS, Alphabets
 from siggame.simulate import derive_episode_seed, run_batch, run_episode
 
 
@@ -279,52 +272,16 @@ def _assert_mutual_best_response(scenario, result, pi, state):
         assert expected_utilities(scenario, alt, belief, state)[2] <= v_r + 1e-12
 
 
-def _labelled_alphabets(n_states, n_actions, n_reactions):
-    return Alphabets(
-        states=tuple(f"x{i}" for i in range(n_states)),
-        actions=tuple(f"a{i}" for i in range(n_actions)),
-        reactions=tuple(f"r{i}" for i in range(n_reactions)),
-    )
-
-
 # (states, actions, reactions) label counts per horizon, 2-3 labels each,
 # kept to windows of at most 2**21 joint profiles
 _SHAPES = {
     horizon: [
         shape
         for shape in itertools.product((2, 3), repeat=3)
-        if joint_profile_count(_labelled_alphabets(*shape), horizon) <= 2**21
+        if joint_profile_count(labelled_alphabets(*shape), horizon) <= 2**21
     ]
     for horizon in (1, 2, 3)
 }
-
-
-def random_scenario(al, horizon, rng):
-    """A scenario over ``al`` with kernel rows and utilities drawn from ``rng``.
-
-    Kernel rows come from small integer weights, so zero probabilities
-    (vanishing paths) and equal likelihoods under both actions are common.
-    """
-    table = {}
-    for key in itertools.product(al.states, al.actions, al.reactions):
-        weights = rng.integers(0, 3, size=len(al.states)).astype(float)
-        if weights.sum() == 0.0:
-            weights[rng.integers(len(weights))] = 1.0
-        table[key] = tuple(weights / weights.sum())
-    keys = list(itertools.product(TYPES, al.states, al.actions, al.reactions))
-    utilities = UtilityTables(
-        sender={k: float(rng.uniform(-5, 5)) for k in keys},
-        receiver={k: float(rng.uniform(-5, 5)) for k in keys},
-    )
-    return Scenario(
-        alphabets=al,
-        kernel=TransitionKernel(alphabets=al, table=table),
-        utilities=utilities,
-        initial_state=al.states[0],
-        prior=0.5,
-        true_type=MALICIOUS,
-        horizon=horizon,
-    )
 
 
 beliefs = st.one_of(st.sampled_from([0.0, 1.0, 1e-300]), st.floats(0.0, 1.0))
@@ -334,7 +291,7 @@ beliefs = st.one_of(st.sampled_from([0.0, 1.0, 1e-300]), st.floats(0.0, 1.0))
 def random_windows(draw):
     """A ``random_scenario`` with a (belief, state) point to solve it at."""
     horizon = draw(st.sampled_from(sorted(_SHAPES)))
-    al = _labelled_alphabets(*draw(st.sampled_from(_SHAPES[horizon])))
+    al = labelled_alphabets(*draw(st.sampled_from(_SHAPES[horizon])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scenario = random_scenario(al, horizon, rng)
     return scenario, draw(beliefs), draw(st.sampled_from(al.states)), rng
@@ -534,7 +491,7 @@ class TestRecedingHorizonPolicy:
         # ("a0", "a1", "r1") holds on [0.1622480228173348, 0.16827916664225406),
         # strictly inside the 40-cell bracket cell [0.15, 0.175) whose ends
         # both play ("a1", "a1", "r0"): a table compiled from cell ends misses it
-        scenario = random_scenario(_labelled_alphabets(2, 2, 2), 2, np.random.default_rng(1))
+        scenario = random_scenario(labelled_alphabets(2, 2, 2), 2, np.random.default_rng(1))
         inside, outside = ("a0", "a1", "r1"), ("a1", "a1", "r0")
         lo, hi = 0.1622480228173348, 0.16827916664225406
         policy = RecedingHorizonPolicy(scenario)
@@ -652,7 +609,7 @@ _POLICY_SHAPES = {
     horizon: [
         shape
         for shape in _SHAPES[horizon]
-        if joint_profile_count(_labelled_alphabets(*shape), horizon) <= 2**15
+        if joint_profile_count(labelled_alphabets(*shape), horizon) <= 2**15
     ]
     for horizon in (1, 2)
 }
@@ -663,7 +620,7 @@ def policy_queries(draw):
     """A ``random_scenario`` at horizon 1 or 2 and beliefs to ask its policy:
     uniform draws, tight clusters and the endpoints."""
     horizon = draw(st.sampled_from(sorted(_POLICY_SHAPES)))
-    al = _labelled_alphabets(*draw(st.sampled_from(_POLICY_SHAPES[horizon])))
+    al = labelled_alphabets(*draw(st.sampled_from(_POLICY_SHAPES[horizon])))
     scenario = random_scenario(al, horizon, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     uniform = draw(st.lists(st.floats(0.0, 1.0), max_size=40))
     clusters = []
@@ -744,6 +701,24 @@ class TestCertifiedIntervals:
             terms = _receiver_terms(window, belief)
             assert np.all(terms[window.dead] == 0.0)  # zeros of either sign
             assert np.all(terms.ravel()[x] == terms.ravel()[y])
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_windows())
+    def test_ahead_follows_the_scan_key(self, drawn):
+        # reference: the profiles ahead read off the whole key tensor
+        scenario, pi, state, rng = drawn
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        nb, _, nr = window.shape
+        key = np.maximum(window.gain_b[:, None], window.gain_m).ravel()
+        picks = [window.scan(pi)[1]] + [
+            (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(8)
+        ]
+        for ib, im, ir in picks:
+            c = (ib * nb + im) * nr + ir
+            ahead = key < key[c]
+            ahead[:c] |= key[:c] == key[c]
+            assert np.array_equal(window._ahead(ib, im, ir), np.flatnonzero(ahead))
 
     def test_distinct_cells_with_equal_inputs_tie(self, scenario_builder):
         # two reaction sequences that differ only in x_a give bit-equal terms,

@@ -94,8 +94,39 @@ class TestScenarioErrors:
             ("kernel.rows", lambda doc: doc["kernel"].update(rows=[1, 2])),
             ("prior", lambda doc: doc.update(prior=None)),
             ("alphabets", lambda doc: doc["alphabets"].update(states=[["x_n"], "x_a"])),
+            # nothing is coerced: each field takes its own JSON type
+            ("horizon", lambda doc: doc.update(horizon=2.7)),
+            ("steps", lambda doc: doc.update(steps=300.9)),
+            ("seed", lambda doc: doc.update(seed=1.5)),
+            ("horizon", lambda doc: doc.update(horizon=True)),
+            ("prior", lambda doc: doc.update(prior=True)),
+            ("seed", lambda doc: doc.update(seed="12")),
+            ("prior", lambda doc: doc.update(prior="0.1")),
+            ("alphabets.reactions", lambda doc: doc["alphabets"].update(reactions="rs")),
+            (
+                "kernel.reaction_independent",
+                lambda doc: doc["kernel"].update(reaction_independent="false"),
+            ),
+            (
+                "kernel.rows.x_n.a_b.r_b",
+                lambda doc: doc["kernel"]["rows"]["x_n"]["a_b"].update(r_b=[True, 0]),
+            ),
         ],
-        ids=["rows-list", "prior-null", "label-list"],
+        ids=[
+            "rows-list",
+            "prior-null",
+            "label-list",
+            "horizon-float",
+            "steps-float",
+            "seed-float",
+            "horizon-bool",
+            "prior-bool",
+            "seed-string",
+            "prior-string",
+            "reactions-string",
+            "reaction-independent-string",
+            "row-entry-bool",
+        ],
     )
     def test_wrong_json_type_names_field(self, table1, field, edit):
         doc = scenario_to_dict(table1)
