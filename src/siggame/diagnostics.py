@@ -56,8 +56,11 @@ def submartingale_margin(
     the true type's coordinate and under its transition law. Beliefs 0 and 1
     stay put, as in the closed loop, so their drift is exactly 0. A reached
     successor whose mixture is at most ``MIN_MIXTURE`` raises
-    ``InconsistentObservationError``.
+    ``InconsistentObservationError``, and a belief outside [0, 1], or NaN,
+    raises ValueError.
     """
+    if not 0.0 <= belief <= 1.0:  # NaN too
+        raise ValueError(f"belief {belief!r} in state {state!r} is not in [0, 1]")
     if belief in (0.0, 1.0):
         return 0.0
     a_b, a_m, reaction = roots
@@ -73,11 +76,14 @@ def submartingale_margin(
     return expected - (belief if malicious else 1.0 - belief)
 
 
-def check_window(window: int, length: int) -> None:
+def check_window(window: int, length: int, tol: float) -> None:
     """Raise ValueError unless a trailing window of ``window`` steps fits a
-    trajectory of ``length`` steps; the oscillation spans window + 1 beliefs."""
+    trajectory of ``length`` steps, the oscillation spanning window + 1
+    beliefs, and the classification tolerance ``tol`` lies in (0, 1)."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if not 0.0 < tol < 1.0:  # NaN too
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if length <= window:
         raise ValueError(
             f"trajectory of {length} steps is too short for window {window}: "
@@ -94,10 +100,11 @@ def convergence_report(
     ``oscillation`` the total variation over the same stretch. The episode is
     classified F_TO_ONE when the mean |f - 1| over the window is below
     ``tol``, PI_TO_ZERO when the limit estimate is, UNDECIDED otherwise.
+    A ``tol`` outside (0, 1), or NaN, is a ValueError.
     """
     beliefs = trajectory.beliefs
     coefficients = trajectory.coefficients
-    check_window(window, len(beliefs))
+    check_window(window, len(beliefs), tol)
     tail = beliefs[-window:]
     limit = math.fsum(tail) / window
     span = beliefs[-(window + 1):]
@@ -145,9 +152,10 @@ def kl_decay_estimate(p_malicious: Sequence[float], p_benign: Sequence[float]) -
     if len(p_m) != len(p_b) or not p_m:
         raise ValueError("distributions must be non-empty and of equal length")
     for name, dist in (("first", p_m), ("second", p_b)):
-        if any(v < 0.0 for v in dist):
-            raise ValueError(f"{name} distribution has a negative entry")
-        if abs(math.fsum(dist) - 1.0) > 1e-9:
+        # both checks are written so that a NaN entry fails them
+        if not all(v >= 0.0 for v in dist):
+            raise ValueError(f"{name} distribution has a negative or NaN entry")
+        if not abs(math.fsum(dist) - 1.0) <= 1e-9:
             raise ValueError(f"{name} distribution does not sum to 1")
     total = 0.0
     for q_m, q_b in zip(p_m, p_b):

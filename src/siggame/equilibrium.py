@@ -195,13 +195,14 @@ def expected_utilities(
     al = scenario.alphabets
     # name a label outside the alphabets before a table lookup meets it
     al.state_index(x_now)
-    for tree, index in (
-        (profile.sender[BENIGN], al.action_index),
-        (profile.sender[MALICIOUS], al.action_index),
-        (profile.receiver, al.reaction_index),
+    for tree, kind, labels in (
+        (profile.sender[BENIGN], "action", al.actions),
+        (profile.sender[MALICIOUS], "action", al.actions),
+        (profile.receiver, "reaction", al.reactions),
     ):
         for label in tree.values():
-            index(label)
+            if label not in labels:
+                raise ValueError(f"unknown {kind} label {label!r}")
     v_b = v_m = v_r = 0.0
     for path in itertools.product(al.states, repeat=scenario.horizon - 1):
         w_b, mean_b, w_m, mean_m, recv = _path_terms(scenario, profile, belief.pi_m, x_now, path)
@@ -348,10 +349,6 @@ class _WindowScan:
             self.steps.append((grid_of(UR_b[x, a_b, r]), grid_of(UR_m[x, a_m, r]), bayes))
         self.w_b, self.w_m = grid_of(w_b), grid_of(w_m)
         self.dead = (self.w_b == 0.0) & (self.w_m == 0.0)
-        # each Bayes step also keeps its live, moving cells, which ``_term_bounds`` checks
-        self.steps = [
-            (g_b, g_m, bayes and (*bayes, bayes[2] & ~self.dead)) for g_b, g_m, bayes in self.steps
-        ]
         t_b = w_b * (u_b / T)
         t_m = w_m * (u_m / T)
         self.V_b = np.zeros((nb, nr))
@@ -365,8 +362,8 @@ class _WindowScan:
     def _walk(self, beta):
         """Run the belief walk from ``beta``, a float or an array that
         broadcasts against the grid. Yields, per step, the receiver-utility
-        grids, each cell's belief and, before a Bayes step, the live, moving
-        cells and each cell's mixture (None after the last step).
+        grids, each cell's belief and, before a Bayes step, the moving cells
+        and each cell's mixture (None after the last step).
 
         Bayes' rule moves a cell's belief only where the two likelihoods
         differ and the mixture exceeds ``MIN_MIXTURE``. ``_path_terms`` also
@@ -377,9 +374,9 @@ class _WindowScan:
             if bayes is None:
                 yield g_b, g_m, beta, None
                 continue
-            p_b, p_m, moves, live_moves = bayes
+            p_b, p_m, moves = bayes
             denom = p_b * (1.0 - beta) + p_m * beta
-            yield g_b, g_m, beta, (live_moves, denom)
+            yield g_b, g_m, beta, (moves, denom)
             step = moves & (denom > MIN_MIXTURE)
             with np.errstate(all="ignore"):
                 beta = np.where(step, p_m * beta / denom, beta)
@@ -442,7 +439,7 @@ class _WindowScan:
         scale = max(float(np.abs(g).max()) for g_b, g_m, _ in self.steps for g in (g_b, g_m))
         ratio = 1.0
         for _, _, bayes in self.steps[:-1]:
-            p_b, p_m, moves, _ = bayes
+            p_b, p_m, moves = bayes
             both = moves & (p_b > 0.0) & (p_m > 0.0)
             if both.any():
                 big, small = np.maximum(p_b, p_m)[both], np.minimum(p_b, p_m)[both]
@@ -456,8 +453,9 @@ class _WindowScan:
         the belief, so while the mixture guard cannot switch, each cell's
         belief at each step stays between the two walks, and each step's term
         is linear in it; its min and max over the two ends bound it. Returns
-        None where a live, moving cell's mixture is within 2 * ``MIN_MIXTURE``
-        at either end, as the guard could then switch inside the interval.
+        None where a moving cell that is not dead has a mixture within
+        2 * ``MIN_MIXTURE`` at either end, as the guard could then switch
+        inside the interval.
         Elsewhere the guard cannot: a moving cell's mixture stays above
         ``MIN_MIXTURE`` between the ends, Bayes' rule returns a belief of 0
         or 1 unchanged, and a dead cell's term is 0 whatever its belief, as
@@ -470,8 +468,8 @@ class _WindowScan:
             lower = lower + term.min(axis=0)
             upper = upper + term.max(axis=0)
             if bayes is not None:
-                live_moves, denom = bayes
-                if np.any(live_moves & (denom <= 2.0 * MIN_MIXTURE)):
+                moves, denom = bayes
+                if np.any(moves & ~self.dead & (denom <= 2.0 * MIN_MIXTURE)):
                     return None
         return lower / self.horizon, upper / self.horizon
 
@@ -673,7 +671,6 @@ class RecedingHorizonPolicy:
         # a branch's first entry is its root label
         self._sender_roots = [al.actions[b[0]] for b in self._enum.sender_branches]
         self._receiver_roots = [al.reactions[b[0]] for b in self._enum.receiver_branches]
-        self._x_index: Callable[[str], int] = al.state_index
         self._regions: dict[str, _RegionTable] = {}
         self.counts = dict.fromkeys(("scans", "proofs_tried", "proofs_accepted", "uncovered"), 0)
 
@@ -681,8 +678,8 @@ class RecedingHorizonPolicy:
         """Root prescriptions (benign action, malicious action, reaction)."""
         table = self._regions.get(state)
         if table is None:
-            window = _WindowScan(self.scenario, self._enum, self._x_index(state))
-            table = self._regions[state] = _RegionTable(window)
+            x0 = self.scenario.alphabets.state_index(state)
+            table = self._regions[state] = _RegionTable(_WindowScan(self.scenario, self._enum, x0))
         roots = table.roots[bisect_right(table.edges, pi_m)]
         if roots is not None:
             return roots

@@ -50,26 +50,12 @@ class Alphabets:
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate {name} labels: {labels}")
         object.__setattr__(self, "_state_pos", {s: i for i, s in enumerate(self.states)})
-        object.__setattr__(self, "_action_pos", {a: i for i, a in enumerate(self.actions)})
-        object.__setattr__(self, "_reaction_pos", {r: i for i, r in enumerate(self.reactions)})
 
     def state_index(self, label: str) -> int:
         try:
             return self._state_pos[label]
         except KeyError:
             raise ValueError(f"unknown state label {label!r}") from None
-
-    def action_index(self, label: str) -> int:
-        try:
-            return self._action_pos[label]
-        except KeyError:
-            raise ValueError(f"unknown action label {label!r}") from None
-
-    def reaction_index(self, label: str) -> int:
-        try:
-            return self._reaction_pos[label]
-        except KeyError:
-            raise ValueError(f"unknown reaction label {label!r}") from None
 
 
 @dataclass(frozen=True)

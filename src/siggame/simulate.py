@@ -150,19 +150,19 @@ def run_episode(
 
 
 def _run_chunk(
-    args: tuple[Scenario, int, list[int]]
-) -> tuple[list[tuple[int, Trajectory | None, str | None]], dict[str, int]]:
-    """Run consecutive episodes, numbered from ``start``, with one shared
-    policy; each failure is recorded against its episode index. Returns the
-    outcomes and the policy's ``counts``."""
-    scenario, start, seeds = args
+    args: tuple[Scenario, list[int]]
+) -> tuple[list[tuple[Trajectory | None, str | None]], dict[str, int]]:
+    """Run one episode per seed, in order, with one shared policy. Returns
+    each episode's outcome, its trajectory or else None and the error that
+    failed it, and the policy's ``counts``."""
+    scenario, seeds = args
     policy = RecedingHorizonPolicy(scenario)
-    out: list[tuple[int, Trajectory | None, str | None]] = []
-    for index, seed in enumerate(seeds, start):
+    out: list[tuple[Trajectory | None, str | None]] = []
+    for seed in seeds:
         try:
-            out.append((index, run_episode(scenario, seed, policy), None))
+            out.append((run_episode(scenario, seed, policy), None))
         except Exception as err:  # recorded, not fatal to the batch
-            out.append((index, None, str(err)))
+            out.append((None, str(err)))
     return out, policy.counts
 
 
@@ -181,37 +181,36 @@ def run_batch(
     the episodes are split into that many contiguous chunks, or one per
     episode if there are fewer episodes, each run in a separate process with
     one policy shared across the chunk; the pool has one process per chunk.
-    Trajectories are reassembled in episode order, so the summary is
-    identical at any parallelism degree.
+    The chunks come back in order, so their outcomes, concatenated, are in
+    episode order and the summary is identical at any parallelism degree.
     Per-episode failures, such as a worker's exception, are recorded in the
     summary against their episode index instead of aborting the batch. A
-    ``workers`` below 1, or a ``window`` that the episodes cannot fill, is a
-    ValueError before any episode runs. The chunk policies' ``counts``,
-    summed, are logged at INFO level on the ``siggame.simulate`` logger.
+    ``workers`` below 1, a ``window`` that the episodes cannot fill, or a
+    ``tol`` outside (0, 1) is a ValueError before any episode runs. The chunk
+    policies' ``counts``, summed, are logged at INFO level on the
+    ``siggame.simulate`` logger.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    check_window(window, scenario.episode_length)
+    check_window(window, scenario.episode_length, tol)
     seeds = [derive_episode_seed(base_seed, i) for i in range(n_episodes)]
-    results: list[Trajectory | None] = [None] * n_episodes
-    errors: list[tuple[int, str]] = []
+    n_chunks = min(workers, n_episodes)
+    bounds = [n_episodes * k // n_chunks for k in range(n_chunks + 1)]
+    tasks = [(scenario, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if workers > 1:
-        n_chunks = min(workers, n_episodes)
-        bounds = [n_episodes * k // n_chunks for k in range(n_chunks + 1)]
-        tasks = [(scenario, lo, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     else:
-        chunks = [_run_chunk((scenario, 0, seeds))]
+        chunks = list(map(_run_chunk, tasks))
     counts: Counter[str] = Counter()
-    for outcomes, chunk_counts in chunks:
+    outcomes: list[tuple[Trajectory | None, str | None]] = []
+    for chunk_outcomes, chunk_counts in chunks:
         counts.update(chunk_counts)
-        for index, traj, err in outcomes:
-            results[index] = traj
-            if err is not None:
-                errors.append((index, err))
+        outcomes += chunk_outcomes
+    results = [traj for traj, _ in outcomes]
+    errors = [(index, err) for index, (_, err) in enumerate(outcomes) if err is not None]
     work = " ".join(f"{key}={n}" for key, n in counts.items())
     _log.info("%d episodes, %d policies: %s", n_episodes, len(chunks), work)
     tallies = {c.value: 0 for c in Classification}

@@ -219,6 +219,32 @@ class TestBatchAndDiagnoseCommands:
         assert captured.err.splitlines() == ["error: workers must be >= 1, got 0"]
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "1", "5"])
+    def test_batch_tol_outside_unit_interval_writes_nothing(
+        self, table1_path, tmp_path, capsys, tol
+    ):
+        outdir = tmp_path / "batch"
+        args = ["batch", "--config", table1_path, "--episodes", "3", "--steps", "40"]
+        assert main([*args, "--tol", tol, "--outdir", str(outdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: tol must lie in (0, 1), got {float(tol)!r}"]
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "1", "5"])
+    def test_diagnose_tol_outside_unit_interval_exits_one(
+        self, table1_path, tmp_path, capsys, tol
+    ):
+        episode = tmp_path / "episode.csv"
+        args = ["simulate", "--config", table1_path, "--steps", "30", "--out", str(episode)]
+        assert main(args) == 0
+        assert main(["diagnose", "--in", str(episode), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {episode}: tol must lie in (0, 1), got {float(tol)!r}"
+        ]
+
     def test_short_trajectory_error_names_file(self, table1_path, tmp_path, capsys):
         short = tmp_path / "short.csv"
         args = ["simulate", "--config", table1_path, "--steps", "10", "--out", str(short)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -94,6 +95,12 @@ class TestSubmartingaleMargin:
                 for belief in [i / 10 for i in range(1, 10)]:
                     assert submartingale_margin(table1, roots, state, belief) >= -1e-12
 
+    @pytest.mark.parametrize("belief", [math.nan, 1.5, -0.2, math.inf])
+    def test_belief_outside_unit_interval_raises(self, table1, belief):
+        message = re.escape(f"belief {belief!r} in state 'x_n' is not in [0, 1]")
+        with pytest.raises(ValueError, match=message):
+            submartingale_margin(table1, ("a_b", "a_m", "r_b"), "x_n", belief)
+
     def test_benign_true_type_margin(self, table1):
         scenario = replace(table1, true_type=BENIGN)
         margin = submartingale_margin(scenario, ("a_b", "a_m", "r_b"), "x_n", 0.1)
@@ -182,6 +189,12 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
             convergence_report(series_trajectory([0.5] * 30), window=window)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 1.0, 5.0])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        message = re.escape(f"tol must lie in (0, 1), got {tol!r}")
+        with pytest.raises(ValueError, match=message):
+            convergence_report(series_trajectory([0.5] * 30), window=20, tol=tol)
+
     def test_trajectory_of_exactly_window_steps_rejected(self):
         # the oscillation over the window needs the belief before it too
         too_short = "20 steps is too short for window 20: needs at least 21"
@@ -249,6 +262,11 @@ class TestKlDecayEstimate:
             kl_decay_estimate((-0.1, 1.1), (0.5, 0.5))
         with pytest.raises(ValueError, match="length"):
             kl_decay_estimate((1.0,), (0.5, 0.5))
+
+    def test_rejects_nan_entries(self):
+        for first, second in [((math.nan, 1.0), (0.5, 0.5)), ((0.5, 0.5), (1.0, math.nan))]:
+            with pytest.raises(ValueError, match="NaN"):
+                kl_decay_estimate(first, second)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(8)

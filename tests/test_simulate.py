@@ -1,4 +1,6 @@
 import logging
+import math
+import re
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import asdict, replace
@@ -20,6 +22,30 @@ def short_table1(table1):
 @pytest.fixture(scope="module")
 def episode(short_table1):
     return run_episode(short_table1, seed=717)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Make the batch's process pool a stand-in that runs the chunks inline,
+    so no process is started whatever ``workers`` asks for. Returns the list
+    of the pool sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestRunEpisode:
@@ -171,31 +197,13 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("n_episodes, workers, pool_size", [(2, 4000, 2), (7, 3, 3)])
     def test_pool_never_larger_than_chunk_count(
-        self, table1, monkeypatch, caplog, n_episodes, workers, pool_size
+        self, table1, inline_pool, caplog, n_episodes, workers, pool_size
     ):
-        # a stand-in pool records its size and runs the chunks inline, so no
-        # process is started whatever ``workers`` asks for
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
         scenario = replace(table1, episode_length=30)
         serial, serial_trajs = run_batch(scenario, n_episodes, base_seed=4)
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
         with caplog.at_level(logging.INFO, logger="siggame.simulate"):
             pooled, pooled_trajs = run_batch(scenario, n_episodes, base_seed=4, workers=workers)
-        assert sizes == [pool_size]
+        assert inline_pool == [pool_size]
         (record,) = [r for r in caplog.records if r.name == "siggame.simulate"]
         assert record.getMessage().startswith(f"{n_episodes} episodes, {pool_size} policies: ")
         assert asdict(pooled) == asdict(serial)
@@ -212,6 +220,39 @@ class TestRunBatch:
         monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
         with pytest.raises(ValueError, match=message):
             run_batch(short_table1, 3, base_seed=1, window=window)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 1.0, 5.0])
+    def test_tol_checked_before_any_episode(self, short_table1, monkeypatch, tol):
+        def no_episodes(args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, 1), got {tol!r}")):
+            run_batch(short_table1, 3, base_seed=1, tol=tol)
+
+    def test_later_chunk_failure_recorded_at_its_index(self, table1, inline_pool, monkeypatch):
+        # 7 episodes over 3 workers run inline as chunks of 2, 2 and 3, so
+        # decide call 151 is the first step of episode 5, the last chunk's second
+        scenario = replace(table1, episode_length=30)
+        serial, serial_trajs = run_batch(scenario, 7, base_seed=4)
+        calls = []
+        decide = RecedingHorizonPolicy.decide
+
+        def failing_decide(self, pi_m, state):
+            calls.append(None)
+            if len(calls) == 5 * 30 + 1:
+                raise RuntimeError("injected decide failure")
+            return decide(self, pi_m, state)
+
+        monkeypatch.setattr(RecedingHorizonPolicy, "decide", failing_decide)
+        summary, trajectories = run_batch(scenario, 7, base_seed=4, workers=3)
+        assert inline_pool == [3]
+        assert summary.errors == [(5, "injected decide failure")]
+        assert summary.classifications["ERROR"] == 1
+        assert trajectories[5] is None and summary.terminal_beliefs[5] is None
+        for i in (0, 1, 2, 3, 4, 6):
+            assert asdict(trajectories[i]) == asdict(serial_trajs[i])
+            assert summary.terminal_beliefs[i] == serial.terminal_beliefs[i]
 
     def test_episode_failure_recorded_without_aborting(self, table1, monkeypatch):
         # the serial batch runs episode 1's steps as decide calls 40..79;
