@@ -14,6 +14,7 @@ from .diagnostics import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
     agreement_series,
+    check_window,
     convergence_report,
     random_walk_belief,
 )
@@ -167,6 +168,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    # The values once, before any file is read; each file's length below.
+    check_window(args.window, args.tol)
     reports = []
     for name in args.inputs:
         traj = read_trajectory(name)

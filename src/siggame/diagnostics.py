@@ -76,15 +76,16 @@ def submartingale_margin(
     return expected - (belief if malicious else 1.0 - belief)
 
 
-def check_window(window: int, length: int, tol: float) -> None:
-    """Raise ValueError unless a trailing window of ``window`` steps fits a
-    trajectory of ``length`` steps, the oscillation spanning window + 1
-    beliefs, and the classification tolerance ``tol`` lies in (0, 1)."""
+def check_window(window: int, tol: float, length: int | None = None) -> None:
+    """Raise ValueError unless ``window`` is at least 1, the classification
+    tolerance ``tol`` lies in (0, 1) and, given a ``length``, a trailing
+    window of ``window`` steps fits a trajectory of that many steps, the
+    oscillation spanning window + 1 beliefs."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if not 0.0 < tol < 1.0:  # NaN too
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    if length <= window:
+    if length is not None and length <= window:
         raise ValueError(
             f"trajectory of {length} steps is too short for window {window}: "
             f"needs at least {window + 1}"
@@ -104,7 +105,7 @@ def convergence_report(
     """
     beliefs = trajectory.beliefs
     coefficients = trajectory.coefficients
-    check_window(window, len(beliefs), tol)
+    check_window(window, tol, len(beliefs))
     tail = beliefs[-window:]
     limit = math.fsum(tail) / window
     span = beliefs[-(window + 1):]

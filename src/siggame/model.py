@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,20 +200,28 @@ def check_distinguishability(
     return (not witnesses, witnesses)
 
 
+def cdf_cuts(row: tuple[float, ...]) -> list[float]:
+    """A transition row's running sums, summed left to right from 0.0, all
+    but the last: the cut points of inverse-CDF sampling.
+
+    ``bisect_right(cdf_cuts(row), u)`` is the one sampling rule of
+    ``sample_transition`` and the closed loop: the index of the first state
+    whose running sum exceeds ``u``, else the last state, also when rounding
+    leaves the last sum short of 1. A validated row has no negative entry,
+    so its sums do not decrease and the bisection finds that state.
+    """
+    return list(itertools.accumulate(row[:-1]))
+
+
 def sample_transition(
     kernel: TransitionKernel, x: str, a: str, r: str, rng: np.random.Generator
 ) -> str:
     """Draw the next state from the row (x, a, r).
 
-    Inverse-CDF sampling on a single uniform draw, so the result is a
-    deterministic function of the generator state and the generator advances
-    by exactly one draw.
+    Inverse-CDF sampling on a single uniform draw u = ``rng.random()``: the
+    next state is the first whose running sum of the row exceeds u, else the
+    last state (``cdf_cuts``). The result is a deterministic function of the
+    generator state, and the generator advances by exactly one draw.
     """
-    row = kernel.row(x, a, r)
-    u = rng.random()
-    acc = 0.0
-    for label, p in zip(kernel.alphabets.states, row):
-        acc += p
-        if u < acc:
-            return label
-    return kernel.alphabets.states[-1]
+    cuts = cdf_cuts(kernel.row(x, a, r))
+    return kernel.alphabets.states[bisect_right(cuts, rng.random())]

@@ -3,14 +3,21 @@
 Each step queries the receding-horizon policy at the current (belief, state),
 records both types' prescribed actions plus the reaction, advances the state
 with the true type's action, and updates the belief from the realized
-successor. Episodes are bit-reproducible functions of (scenario, seed);
-batches derive one independent seed per episode with a fixed mixing function
-so any parallel split of the work produces identical results.
+successor. An episode draws its ``episode_length`` uniforms at once from a
+PCG64 generator seeded with the episode seed; they are the doubles that as
+many successive ``rng.random()`` calls would give. Step k samples its
+successor from uniform k by ``sample_transition``'s rule: the first state
+whose running sum of the applied row, left to right from 0.0, exceeds the
+uniform, else the last state. Episodes are bit-reproducible functions of
+(scenario, seed); batches derive one independent seed per episode with a
+fixed mixing function so any parallel split of the work produces identical
+results.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +34,9 @@ from .diagnostics import (
     convergence_report,
 )
 from .equilibrium import RecedingHorizonPolicy
-from .model import MALICIOUS, Scenario, sample_transition
+from .model import MALICIOUS, Scenario, cdf_cuts
+# Not called here; bound so that bench/tracing.py can patch it in this module.
+from .model import sample_transition
 
 _MASK64 = (1 << 64) - 1
 ERROR_TALLY = "ERROR"
@@ -116,20 +125,19 @@ def run_episode(
     """
     if policy is None:
         policy = RecedingHorizonPolicy(scenario)
-    rng = np.random.default_rng(seed)
     malicious = scenario.true_type == MALICIOUS
     traj = Trajectory(true_type=scenario.true_type, prior=scenario.prior, seed=seed)
+    states = scenario.alphabets.states
+    table = scenario.kernel.table
+    cuts = {key: cdf_cuts(row) for key, row in table.items()}
+    uniforms = np.random.default_rng(seed).random(scenario.episode_length).tolist()
     x = scenario.initial_state
     pi = scenario.prior
-    state_index = scenario.alphabets.state_index
-    kernel = scenario.kernel
-    for _ in range(scenario.episode_length):
+    for u in uniforms:
         a_b, a_m, reaction = policy.decide(pi, x)
-        applied = a_m if malicious else a_b
-        x_next = sample_transition(kernel, x, applied, reaction, rng)
-        j = state_index(x_next)
-        p_b = kernel.row(x, a_b, reaction)[j]
-        p_m = kernel.row(x, a_m, reaction)[j]
+        j = bisect_right(cuts[x, a_m if malicious else a_b, reaction], u)
+        p_b = table[x, a_b, reaction][j]
+        p_m = table[x, a_m, reaction][j]
         if 0.0 < pi < 1.0:
             # The realized successor has positive probability under the
             # applied action, so the mixture cannot vanish here.
@@ -144,7 +152,7 @@ def run_episode(
         traj.reactions.append(reaction)
         traj.beliefs.append(pi_next)
         traj.coefficients.append(f)
-        x = x_next
+        x = states[j]
         pi = pi_next
     return traj
 
@@ -194,7 +202,7 @@ def run_batch(
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    check_window(window, scenario.episode_length, tol)
+    check_window(window, tol, scenario.episode_length)
     seeds = [derive_episode_seed(base_seed, i) for i in range(n_episodes)]
     n_chunks = min(workers, n_episodes)
     bounds = [n_episodes * k // n_chunks for k in range(n_chunks + 1)]

@@ -241,9 +241,14 @@ class TestBatchAndDiagnoseCommands:
         assert main(["diagnose", "--in", str(episode), "--tol", tol]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: {episode}: tol must lie in (0, 1), got {float(tol)!r}"
-        ]
+        assert captured.err.splitlines() == [f"error: tol must lie in (0, 1), got {float(tol)!r}"]
+
+    def test_diagnose_checks_tol_before_reading_any_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["diagnose", "--in", str(missing), "--tol", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: tol must lie in (0, 1), got nan"]
 
     def test_short_trajectory_error_names_file(self, table1_path, tmp_path, capsys):
         short = tmp_path / "short.csv"
@@ -262,9 +267,7 @@ class TestBatchAndDiagnoseCommands:
         assert main(["diagnose", "--in", str(episode), "--window", window]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: {episode}: window must be >= 1, got {window}"
-        ]
+        assert captured.err.splitlines() == [f"error: window must be >= 1, got {window}"]
 
 
 class TestAppendixACommand:

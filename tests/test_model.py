@@ -1,5 +1,6 @@
 import math
 import re
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from siggame.model import (
     Scenario,
     TransitionKernel,
     UtilityTables,
+    cdf_cuts,
     check_distinguishability,
     sample_transition,
     validate_kernel,
@@ -266,3 +268,23 @@ class TestSampleTransition:
             hits = sum(sample_transition(kernel, x, a, "r_m", rng) == "x_n" for _ in range(n))
             sigma = math.sqrt(vec[0] * (1 - vec[0]) / n)
             assert abs(hits / n - vec[0]) < 4 * sigma
+
+
+class TestCdfCuts:
+    def test_bisection_matches_running_sum_scan(self):
+        # the left-to-right scan that sample_transition's rule is stated as,
+        # on rows with zero entries and at uniforms equal to running sums
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            weights = rng.integers(0, 3, size=rng.integers(1, 6)).astype(float)
+            if weights.sum() == 0.0:
+                weights[-1] = 1.0
+            row = tuple(weights / weights.sum())
+            u = rng.choice([rng.random(), *np.cumsum(row)[:-1]])
+            acc, scan = 0.0, len(row) - 1
+            for i, p in enumerate(row):
+                acc += p
+                if u < acc:
+                    scan = i
+                    break
+            assert bisect_right(cdf_cuts(row), u) == scan

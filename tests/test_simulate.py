@@ -5,13 +5,17 @@ import statistics
 from collections import Counter, defaultdict
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import build_binary_scenario
+from conftest import build_binary_scenario, labelled_alphabets, random_scenario
 from siggame import simulate
+from siggame.beliefs import coefficient_value, posterior_malicious
 from siggame.equilibrium import RecedingHorizonPolicy
-from siggame.model import BENIGN, MALICIOUS
-from siggame.simulate import derive_episode_seed, run_batch, run_episode
+from siggame.model import BENIGN, MALICIOUS, TransitionKernel, sample_transition
+from siggame.simulate import Trajectory, derive_episode_seed, run_batch, run_episode
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +123,115 @@ class TestRunEpisode:
         assert zeros > 0
         assert traj.beliefs == [prior] * 20
         assert traj.coefficients == [1.0] * 20
+
+
+def replay_episode(scenario, seed):
+    """The closed loop one scalar draw at a time, as an oracle for
+    ``run_episode``: decide, then ``sample_transition`` on the next
+    ``rng.random()``, then the Bayes step on the rows' likelihoods."""
+    policy = RecedingHorizonPolicy(scenario)
+    rng = np.random.default_rng(seed)
+    malicious = scenario.true_type == MALICIOUS
+    kernel, index = scenario.kernel, scenario.alphabets.state_index
+    traj = Trajectory(true_type=scenario.true_type, prior=scenario.prior, seed=seed)
+    x, pi = scenario.initial_state, scenario.prior
+    for _ in range(scenario.episode_length):
+        a_b, a_m, reaction = policy.decide(pi, x)
+        x_next = sample_transition(kernel, x, a_m if malicious else a_b, reaction, rng)
+        p_b = kernel.row(x, a_b, reaction)[index(x_next)]
+        p_m = kernel.row(x, a_m, reaction)[index(x_next)]
+        if 0.0 < pi < 1.0:
+            f = coefficient_value(pi, p_b, p_m, malicious)
+            pi_next = posterior_malicious(pi, p_b, p_m)
+        else:
+            f, pi_next = 1.0, pi
+        traj.states.append(x)
+        traj.actions_benign.append(a_b)
+        traj.actions_malicious.append(a_m)
+        traj.reactions.append(reaction)
+        traj.beliefs.append(pi_next)
+        traj.coefficients.append(f)
+        x, pi = x_next, pi_next
+    return traj
+
+
+class _FixedUniforms:
+    """A generator stand-in whose every draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+_SHORT = 0.5 - 5e-10  # rows ending in it sum to 1 - 5e-10, inside ROW_SUM_TOL
+
+# (row, uniform, index of the state drawn) at the sampling rule's edges
+_EDGES = [
+    # a uniform equal to a running sum draws the next state
+    ((0.25, 0.5, 0.25), 0.25, 1),
+    ((0.25, 0.5, 0.25), 0.75, 2),
+    ((0.25, 0.5, 0.25), 0.0, 0),
+    # a zero-probability state is never drawn, wherever it sits
+    ((0.0, 0.5, 0.5), 0.0, 1),
+    ((0.5, 0.0, 0.5), math.nextafter(0.5, 0.0), 0),
+    ((0.5, 0.0, 0.5), 0.5, 2),
+    ((0.5, 0.5, 0.0), math.nextafter(1.0, 0.0), 1),
+    # at or above a last running sum short of 1, the last state
+    ((0.25, 0.25, _SHORT), 0.25 + 0.25 + _SHORT, 2),
+    ((0.25, 0.25, _SHORT), math.nextafter(1.0, 0.0), 2),
+    ((0.5, _SHORT), math.nextafter(1.0, 0.0), 1),
+]
+
+
+class TestSamplingRule:
+    """``sample_transition`` and the closed loop draw the first state whose
+    running sum of the row exceeds the uniform, else the last state."""
+
+    @pytest.mark.parametrize("row, u, expected", _EDGES)
+    def test_edges(self, monkeypatch, row, u, expected):
+        al = labelled_alphabets(len(row), 1, 1)
+        table = {(x, "a0", "r0"): row for x in al.states}
+        scenario = replace(
+            random_scenario(al, 1, np.random.default_rng(0)),
+            kernel=TransitionKernel(alphabets=al, table=table),
+            episode_length=2,
+        )
+        assert row[expected] > 0.0
+        drawn = sample_transition(scenario.kernel, "x0", "a0", "r0", _FixedUniforms(u))
+        assert drawn == al.states[expected]
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms(u))
+        assert run_episode(scenario, seed=0).states == ["x0", al.states[expected]]
+
+
+class TestScalarReplay:
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    def test_block_draw_equals_successive_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        successive = [rng.random() for _ in range(1000)]
+        assert np.random.default_rng(seed).random(1000).tolist() == successive
+
+    @pytest.mark.parametrize("config", ["table1", "table4"])
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_bundled_tables(self, request, config, horizon):
+        scenario = replace(request.getfixturevalue(config), horizon=horizon)
+        for i in range(3):
+            seed = derive_episode_seed(scenario.base_seed, i)
+            assert repr(run_episode(scenario, seed)) == repr(replay_episode(scenario, seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        horizon=st.sampled_from([1, 2]),
+        shape=st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3)]),
+        draw=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_scenarios_with_zero_entries(self, horizon, shape, draw, seed):
+        scenario = random_scenario(labelled_alphabets(*shape), horizon, np.random.default_rng(draw))
+        scenario = replace(scenario, episode_length=60)
+        assume(any(0.0 in row for row in scenario.kernel.table.values()))
+        assert repr(run_episode(scenario, seed)) == repr(replay_episode(scenario, seed))
 
 
 class TestSeedDerivation:
