@@ -22,9 +22,10 @@ gathers its sequence terms path by path. Only the receiver's values depend on
 the belief, so the walk is split there: the path weights, sender values and
 sender deviation gains are built once per state, and each new belief re-runs
 only the belief walk and the receiver pass. That pass fills the receiver
-tensor a cache-sized block of benign rows at a time and takes each block's
-best responses and least regret before moving on, so the only tensor it
-builds with one entry per joint profile is the receiver tensor itself.
+values into one reused, cache-sized block of benign rows at a time and takes
+each block's best responses and least regret before moving on. No receiver
+tensor is kept, and the pass builds no array with one entry per joint
+profile; the certifier fills again only the rows it reads.
 ``expected_utilities`` values a single profile with a separate scalar walk
 over the scenario's label-keyed tables and serves as the independent oracle;
 both add the same terms in the same order, so they agree bit for bit.
@@ -68,8 +69,8 @@ JOINT_PROFILE_LIMIT = 10_000_000
 # belief; beliefs closer than that to a region edge on both sides are not stored.
 MIN_REACH = 2.0**-20
 
-# A scan finds the best responses of this many bytes of receiver values at a
-# time, so that they are still in a core's cache.
+# A scan fills and reads this many bytes of receiver values at a time, so that
+# they are still in a core's cache; a proof's index arrays are no larger.
 _BLOCK_BYTES = 2**19
 
 _log = logging.getLogger(__name__)
@@ -282,13 +283,14 @@ class _WindowScan:
     """The window game at one root state, split at the belief.
 
     Path weights and sender values, and so the sender deviation gains, do not
-    depend on the belief; only the receiver tensor does, through the belief
+    depend on the belief; only the receiver values do, through the belief
     propagated along each state path. The constructor runs the belief-free
     half of the walk once. It keeps each path's weights, its dead mask and its
     receiver-utility and likelihood grids, and fills ``V_b``, ``V_m`` and the
     gains. ``_walk`` is the belief walk: ``scan`` runs it at one belief and
-    then fills the receiver tensor and finds the least regret, and
-    ``_term_bounds`` runs it at both ends of a belief interval.
+    then fills the receiver values block by block (``_blocks``) and finds
+    the least regret, and ``_term_bounds`` runs it at both ends of a belief
+    interval.
 
     The constructor reads the scenario's kernel rows and utility tables into
     index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
@@ -301,7 +303,7 @@ class _WindowScan:
     that start from +0 add without changing a bit. A sender value gathers,
     path by path, the terms of the sequences its branches play; a receiver
     value adds, path by path, a slice of that path's terms spread over the
-    other two branches (see ``scan``). Both add paths in enumeration order
+    other two branches (see ``_blocks``). Both add paths in enumeration order
     from zero, as ``expected_utilities`` adds them.
     """
 
@@ -381,6 +383,30 @@ class _WindowScan:
             with np.errstate(all="ignore"):
                 beta = np.where(step, p_m * beta / denom, beta)
 
+    def _blocks(self, spreads, rows):
+        """Fill the receiver values of the benign rows ``rows``, ascending,
+        from ``scan``'s path spreads, in blocks of at most ``_BLOCK_BYTES``.
+
+        Yields each block's row numbers and its values, shaped (row,
+        malicious branch, receiver branch). Every block is written into the
+        same buffer, so a block is valid only until the next one is asked
+        for. A row starts at +0 and adds, path by path, the slice of the
+        spread that its sequence on that path selects, a view.
+        """
+        nb, _, nr = self.shape
+        rows = np.asarray(rows)
+        plays = self.sequences[0].T[rows].tolist()  # each row's sequence number on each path
+        per_block = max(1, _BLOCK_BYTES // (8 * nb * nr))
+        buffer = np.empty((min(per_block, len(rows)), nb, nr))
+        for lo in range(0, len(rows), per_block):
+            block_plays = plays[lo : lo + per_block]
+            block = buffer[: len(block_plays)]
+            block.fill(0.0)
+            for row, seqs in zip(block, block_plays):
+                for spread, s in zip(spreads, seqs):
+                    row += spread[s]
+            yield rows[lo : lo + per_block], block
+
     def scan(self, pi: float):
         """Value every joint profile at belief ``pi``; find the first of least regret.
 
@@ -388,15 +414,15 @@ class _WindowScan:
         receiver branch is a best response, and infinite elsewhere. Zero
         regret is a pure equilibrium; with none, the first minimizer in
         enumeration order is the defender-anchored fallback. Returns the
-        receiver tensor, that profile, its regret and the number of profiles
-        of zero regret.
+        path spreads, that profile, its receiver value, its regret and the
+        number of profiles of zero regret.
 
         Each path's terms are spread once over (benign sequence, malicious
-        branch, receiver branch); a benign row of the receiver tensor then
-        adds, path by path, the slice of the sequence it plays there, a view.
-        Rows are taken in blocks of at most ``_BLOCK_BYTES``, and a block's
-        best responses and least regret are found while it is still in cache,
-        so no tensor as large as the receiver tensor is built beside it.
+        branch, receiver branch), the spreads that ``_blocks`` and
+        ``certifier`` read. The receiver values are then filled a block of
+        benign rows at a time, and a block's best responses and least regret
+        are found while it is still in cache. No receiver tensor is kept:
+        the largest arrays a scan builds are the spreads and one block.
         """
         r_b_sum = r_m_sum = 0.0
         for g_b, g_m, beta, _ in self._walk(pi):
@@ -405,27 +431,20 @@ class _WindowScan:
         t_r = (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon
         seq_s, seq_r = self.sequences
         spreads = [t.take(r, 2).take(s, 1) for t, s, r in zip(t_r, seq_s, seq_r)]
-        plays = seq_s.T.tolist()  # each benign branch's sequence number on each path
         nb, _, nr = self.shape
-        V_r = np.zeros(self.shape)
-        rows = max(1, _BLOCK_BYTES // V_r[0].nbytes)
-        least, choice, zeros = math.inf, None, 0
-        for lo in range(0, nb, rows):
-            block = V_r[lo : lo + rows]
-            for row, seqs in zip(block, plays[lo : lo + rows]):
-                for spread, s in zip(spreads, seqs):
-                    row += spread[s]
+        least, choice, value, zeros = math.inf, None, None, 0
+        for rows, block in self._blocks(spreads, range(nb)):
             pairs = block.reshape(-1, nr)
             # an argmax and a gather are faster than a max along the short last axis
             best = pairs[np.arange(len(pairs)), pairs.argmax(axis=1)]
-            cells = lo * nb * nr + np.flatnonzero(pairs >= best[:, None])
-            b, m, r = np.unravel_index(cells, self.shape)
-            regret = np.maximum(self.gain_b[b, r], self.gain_m[m, r])
+            k_b, m, r = np.unravel_index(np.flatnonzero(pairs >= best[:, None]), block.shape)
+            regret = np.maximum(self.gain_b[rows[k_b], r], self.gain_m[m, r])
             k = int(regret.argmin())
             if regret[k] < least:
-                least, choice = float(regret[k]), (int(b[k]), int(m[k]), int(r[k]))
+                least, value = float(regret[k]), float(block[k_b[k], m[k], r[k]])
+                choice = (int(rows[k_b[k]]), int(m[k]), int(r[k]))
             zeros += int(np.count_nonzero(regret == 0.0))
-        return V_r, choice, least, zeros
+        return spreads, choice, value, least, zeros
 
     @cached_property
     def _margin(self):
@@ -502,11 +521,16 @@ class _WindowScan:
         ahead[c:] = ((self.gain_b[:, None] < k) & (self.gain_m < k)).ravel()[c:]
         return np.flatnonzero(ahead)
 
-    def certifier(self, V_r, choice) -> Callable[[float, float], bool] | None:
+    def certifier(self, spreads, choice) -> Callable[[float, float], bool] | None:
         """A test of whether ``scan`` picks ``choice`` at every belief of an
-        interval; ``V_r`` and ``choice`` are ``scan``'s output at a belief
+        interval; ``spreads`` and ``choice`` are ``scan``'s output at a belief
         inside every interval tested. None if a value difference that the
         test needs is within the margin already at that belief.
+
+        The receiver values at that belief are filled again by ``_blocks``,
+        only for the benign rows of the profiles ahead and of ``choice``;
+        the test keeps of them each pair's best response and each profile's
+        gap to it, not the values.
 
         Each value difference is bounded path by path from ``_term_bounds``,
         and a path on which both profiles land in cells with equal inputs,
@@ -523,25 +547,39 @@ class _WindowScan:
             the interval needs no path-by-path bound.
 
         The profiles ahead come from ``_ahead``; none of the checks depends
-        on their order.
+        on their order. The close profiles of a proof are checked in chunks
+        of at most ``_BLOCK_BYTES`` per index array, and the first chunk
+        that fails ends it.
         """
         nb, _, nr = self.shape
         ib, im, ir = choice
         earlier = self._ahead(ib, im, ir)
-        pairs = earlier // nr
-        by_pair = V_r.reshape(-1, nr)
-        best = by_pair.argmax(axis=1)
-        gaps = by_pair[np.arange(len(best)), best][pairs] - V_r.ravel()[earlier]
+        row_size = nb * nr
+        # where each benign row's profiles start in the sorted ``earlier``
+        starts = np.searchsorted(earlier, np.arange(nb + 1) * row_size)
+        touched = starts[1:] > starts[:-1]
+        touched[ib] = True
+        best = np.zeros((nb, nb), np.intp)  # per sender pair, on the touched rows
+        gaps = np.empty(len(earlier))
+        for rows, block in self._blocks(spreads, np.flatnonzero(touched)):
+            best[rows] = block.argmax(axis=2)
+            below = block.max(axis=2, keepdims=True) - block
+            for row, values, gap in zip(rows.tolist(), block, below):
+                span = slice(starts[row], starts[row + 1])
+                gaps[span] = gap.ravel()[earlier[span] - row * row_size]
+                if row == ib:
+                    chosen = values[im].copy()
         rivals = np.delete(np.arange(nr), ir)
         rival_cells = self._cells(
             np.full_like(rivals, ib), np.full_like(rivals, im), rivals, np.full_like(rivals, ir)
         )
         rival_ties = ~rival_cells[2].any(axis=0)
         margin = self._margin
-        near_tie = ~rival_ties & (V_r[ib, im, ir] - V_r[ib, im, rivals] <= margin)
+        near_tie = ~rival_ties & (chosen[ir] - chosen[rivals] <= margin)
         if near_tie.any() or np.any(gaps <= margin):
             return None  # then no interval around the scanned belief is provable
         n_paths = len(self.dead)
+        chunk = _BLOCK_BYTES // (8 * n_paths)
 
         def upper(t_lo, t_hi, cells):
             x, y, differ = cells
@@ -556,9 +594,10 @@ class _WindowScan:
                 return False
             drift = float((t_hi - t_lo).reshape(n_paths, -1).max(axis=1).sum())
             close = np.flatnonzero(gaps <= 2.0 * drift + margin)
-            if close.size:
-                e, pair = earlier[close], pairs[close]
-                cells = self._cells(pair // nb, pair % nb, e % nr, best[pair])
+            for i in range(0, close.size, chunk):
+                e = earlier[close[i : i + chunk]]
+                b, m = np.divmod(e // nr, nb)
+                cells = self._cells(b, m, e % nr, best[b, m])
                 if not np.all(upper(t_lo, t_hi, cells) <= -margin):
                     return False
             return True
@@ -581,10 +620,10 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     """
     enum = _Enumeration(scenario.alphabets, scenario.horizon)
     window = _WindowScan(scenario, enum, scenario.alphabets.state_index(x_now))
-    V_r, (ib, im, ir), least, zeros = window.scan(belief.pi_m)
+    _, (ib, im, ir), value, least, zeros = window.scan(belief.pi_m)
     if least > 0.0:
         raise NoPureEquilibriumError(
-            f"no pure mutual best response among {V_r.size} joint profiles "
+            f"no pure mutual best response among {math.prod(window.shape)} joint profiles "
             f"(least sender regret {least:.6g})",
             fallback_profile=enum.profile(ib, im, ir),
             fallback_regret=least,
@@ -593,7 +632,7 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
         profile=enum.profile(ib, im, ir),
         sender_value_benign=float(window.V_b[ib, ir]),
         sender_value_malicious=float(window.V_m[im, ir]),
-        receiver_value=float(V_r[ib, im, ir]),
+        receiver_value=value,
         multiplicity=zeros,
     )
 
@@ -688,10 +727,11 @@ class RecedingHorizonPolicy:
     def _scan(self, table: _RegionTable, pi_m: float, state: str) -> tuple[str, str, str]:
         if not 0.0 <= pi_m <= 1.0:  # NaN too; such a belief is never inside an interval
             raise ValueError(f"belief {pi_m!r} in state {state!r} is not in [0, 1]")
-        V_r, (ib, im, ir), least, _ = table.window.scan(pi_m)
+        spreads, choice, _, least, _ = table.window.scan(pi_m)
         self.counts["scans"] += 1
+        ib, im, ir = choice
         roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
-        ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, V_r, (ib, im, ir), pi_m)
+        ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, spreads, choice, pi_m)
         if ends is None:
             self.counts["uncovered"] += 1
         else:
@@ -699,9 +739,9 @@ class RecedingHorizonPolicy:
             _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *ends, roots, least)
         return roots
 
-    def _certify(self, table, V_r, choice, pi):
+    def _certify(self, table, spreads, choice, pi):
         """The proven interval around ``pi`` in its uncovered stretch, or None."""
-        proves = table.window.certifier(V_r, choice)
+        proves = table.window.certifier(spreads, choice)
         if proves is None:
             return None
         counts = self.counts

@@ -201,16 +201,21 @@ def check_distinguishability(
 
 
 def cdf_cuts(row: tuple[float, ...]) -> list[float]:
-    """A transition row's running sums, summed left to right from 0.0, all
-    but the last: the cut points of inverse-CDF sampling.
+    """A transition row's running sums, summed left to right from 0.0, up to
+    and not including its last positive entry: the cut points of inverse-CDF
+    sampling.
 
     ``bisect_right(cdf_cuts(row), u)`` is the one sampling rule of
     ``sample_transition`` and the closed loop: the index of the first state
-    whose running sum exceeds ``u``, else the last state, also when rounding
-    leaves the last sum short of 1. A validated row has no negative entry,
-    so its sums do not decrease and the bisection finds that state.
+    whose running sum exceeds ``u``, else the last state of positive
+    probability, also when rounding leaves the sums short of 1. A validated
+    row has no negative entry, so its sums do not decrease and the bisection
+    finds that state; a state of probability 0 is never drawn.
     """
-    return list(itertools.accumulate(row[:-1]))
+    last = len(row) - 1
+    while row[last] == 0.0:  # a validated row has a positive entry
+        last -= 1
+    return list(itertools.accumulate(row[:last]))
 
 
 def sample_transition(
@@ -220,8 +225,9 @@ def sample_transition(
 
     Inverse-CDF sampling on a single uniform draw u = ``rng.random()``: the
     next state is the first whose running sum of the row exceeds u, else the
-    last state (``cdf_cuts``). The result is a deterministic function of the
-    generator state, and the generator advances by exactly one draw.
+    last state of positive probability (``cdf_cuts``). The result is a
+    deterministic function of the generator state, and the generator
+    advances by exactly one draw.
     """
     cuts = cdf_cuts(kernel.row(x, a, r))
     return kernel.alphabets.states[bisect_right(cuts, rng.random())]

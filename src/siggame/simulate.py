@@ -8,10 +8,10 @@ PCG64 generator seeded with the episode seed; they are the doubles that as
 many successive ``rng.random()`` calls would give. Step k samples its
 successor from uniform k by ``sample_transition``'s rule: the first state
 whose running sum of the applied row, left to right from 0.0, exceeds the
-uniform, else the last state. Episodes are bit-reproducible functions of
-(scenario, seed); batches derive one independent seed per episode with a
-fixed mixing function so any parallel split of the work produces identical
-results.
+uniform, else the last state of positive probability. Episodes are
+bit-reproducible functions of (scenario, seed); batches derive one
+independent seed per episode with a fixed mixing function so any parallel
+split of the work produces identical results.
 """
 
 from __future__ import annotations

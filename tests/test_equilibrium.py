@@ -297,6 +297,12 @@ def random_windows(draw):
     return scenario, draw(beliefs), draw(st.sampled_from(al.states)), rng
 
 
+def receiver_tensor(window, spreads):
+    """The whole receiver tensor, assembled from ``_blocks``' reused buffer."""
+    nb = window.shape[0]
+    return np.concatenate([block.copy() for _, block in window._blocks(spreads, range(nb))])
+
+
 class TestValueMatricesAgainstOracle:
     """The solver's vectorised value path against ``expected_utilities``."""
 
@@ -315,17 +321,24 @@ class TestValueMatricesAgainstOracle:
         # one object, two beliefs: only the receiver pass is re-run, and both
         # paths add the same float terms in the same order: exact equality
         for belief in (pi, other_pi):
-            V_r = window.scan(belief)[0]
+            spreads, choice, value, _, _ = window.scan(belief)
+            V_r = receiver_tensor(window, spreads)
+            assert value == V_r[choice]
             for ib, im, ir in picks:
                 oracle = expected_utilities(
                     scenario, enum.profile(ib, im, ir), BeliefState(belief), state
                 )
                 assert (window.V_b[ib, ir], window.V_m[im, ir], V_r[ib, im, ir]) == oracle
-        # the reused object has scanned two beliefs; a fresh one agrees at the second
-        # in the receiver tensor's bits, the choice, its regret and the zero count
-        fresh = _WindowScan(scenario, enum, x0).scan(other_pi)
+        # the reused object has scanned two beliefs; a fresh one agrees at the
+        # second in the receiver tensor's bits, the choice, its receiver value,
+        # its regret and the zero count
+        fresh_window = _WindowScan(scenario, enum, x0)
+        fresh = fresh_window.scan(other_pi)
         reused = window.scan(other_pi)
-        assert reused[0].tobytes() == fresh[0].tobytes()
+        assert (
+            receiver_tensor(window, reused[0]).tobytes()
+            == receiver_tensor(fresh_window, fresh[0]).tobytes()
+        )
         assert reused[1:] == fresh[1:]
 
     def test_horizon_three_solve_matches_oracle(self, table1):
@@ -347,7 +360,9 @@ class TestRegretStep:
 
     @staticmethod
     def assert_scan_matches_definition(window, pi):
-        V_r, choice, least, zeros = window.scan(pi)
+        spreads, choice, value, least, zeros = window.scan(pi)
+        V_r = receiver_tensor(window, spreads)
+        assert value == V_r[choice]
         gain_b = window.V_b.max(axis=0) - window.V_b
         gain_m = window.V_m.max(axis=0) - window.V_m
         responds = V_r >= V_r.max(axis=2, keepdims=True)
@@ -375,23 +390,38 @@ class TestRegretStep:
             utilities=type(table1.utilities)(sender=table1.utilities.sender, receiver=flat),
         )
         window = _WindowScan(scenario, _Enumeration(scenario.alphabets, 3), 0)
-        assert not window.scan(0.3)[0].any()
+        assert not receiver_tensor(window, window.scan(0.3)[0]).any()
         self.assert_scan_matches_definition(window, 0.3)
 
     def test_equilibrium_multiplicity(self, table1):
         window = _WindowScan(table1, _Enumeration(table1.alphabets, table1.horizon), 0)
         assert self.assert_scan_matches_definition(window, 0.1) == 16
 
-    def test_horizon_three_solve_memory(self, table1):
-        # a scan builds no tensor as large as the receiver tensor beside it
-        scenario = _with_horizon(table1, 3)
-        receiver_bytes = 8 * joint_profile_count(scenario.alphabets, 3)
+    @staticmethod
+    def traced_peak(call):
         tracemalloc.start()
         try:
-            solve_bne(scenario, BeliefState(0.1), "x_n")
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_horizon_three_solve_memory(self, table1):
+        # a scan keeps no receiver tensor: its largest arrays are the path
+        # spreads and one block of rows
+        scenario = _with_horizon(table1, 3)
+        receiver_bytes = 8 * joint_profile_count(scenario.alphabets, 3)
+        peak = self.traced_peak(lambda: solve_bne(scenario, BeliefState(0.1), "x_n"))
+        assert peak < receiver_bytes / 2
+
+    def test_horizon_three_decide_memory(self, table4):
+        # a fresh window, a scan and its proofs; the proofs check hundreds of
+        # thousands of close profiles, a chunk at a time
+        scenario = _with_horizon(table4, 3)
+        receiver_bytes = 8 * joint_profile_count(scenario.alphabets, 3)
+        policy = RecedingHorizonPolicy(scenario)
+        peak = self.traced_peak(lambda: policy.decide(0.36, "x_n"))
+        assert policy.counts["scans"] == 1
         assert peak < 2 * receiver_bytes
 
 
@@ -596,7 +626,7 @@ def _fresh_scan_roots(scenario):
     def roots(pi, state):
         if state not in windows:
             windows[state] = _WindowScan(scenario, enum, al.state_index(state))
-        _, (ib, im, ir), _, _ = windows[state].scan(pi)
+        _, (ib, im, ir), _, _, _ = windows[state].scan(pi)
         b, m, r = enum.sender_branches[ib], enum.sender_branches[im], enum.receiver_branches[ir]
         return al.actions[b[0]], al.actions[m[0]], al.reactions[r[0]]
 

@@ -281,7 +281,8 @@ class TestCdfCuts:
                 weights[-1] = 1.0
             row = tuple(weights / weights.sum())
             u = rng.choice([rng.random(), *np.cumsum(row)[:-1]])
-            acc, scan = 0.0, len(row) - 1
+            # else the last state of positive probability
+            acc, scan = 0.0, max(i for i, p in enumerate(row) if p > 0.0)
             for i, p in enumerate(row):
                 acc += p
                 if u < acc:

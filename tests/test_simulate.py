@@ -182,12 +182,15 @@ _EDGES = [
     ((0.25, 0.25, _SHORT), 0.25 + 0.25 + _SHORT, 2),
     ((0.25, 0.25, _SHORT), math.nextafter(1.0, 0.0), 2),
     ((0.5, _SHORT), math.nextafter(1.0, 0.0), 1),
+    # above a last running sum short of 1, the last state of positive probability
+    ((0.5, _SHORT, 0.0), math.nextafter(1.0, 0.0), 1),
 ]
 
 
 class TestSamplingRule:
     """``sample_transition`` and the closed loop draw the first state whose
-    running sum of the row exceeds the uniform, else the last state."""
+    running sum of the row exceeds the uniform, else the last state of
+    positive probability."""
 
     @pytest.mark.parametrize("row, u, expected", _EDGES)
     def test_edges(self, monkeypatch, row, u, expected):
