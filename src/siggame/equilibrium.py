@@ -23,9 +23,12 @@ the belief, so the walk is split there: the path weights, sender values and
 sender deviation gains are built once per state, and each new belief re-runs
 only the belief walk and the receiver pass. That pass fills the receiver
 values into one reused, cache-sized block of benign rows at a time and takes
-each block's best responses and least regret before moving on. No receiver
-tensor is kept, and the pass builds no array with one entry per joint
-profile; the certifier fills again only the rows it reads.
+each block's best responses and least regret before moving on. No regret in a
+benign row is below the row's least benign deviation gain, a belief-free
+bound, so the pass reads the rows in order of that bound and stops once no
+row left can beat the least regret found. No receiver tensor is kept, and
+the pass builds no array with one entry per joint profile; the certifier
+fills again only the rows it reads.
 ``expected_utilities`` values a single profile with a separate scalar walk
 over the scenario's label-keyed tables and serves as the independent oracle;
 both add the same terms in the same order, so they agree bit for bit.
@@ -66,8 +69,11 @@ from .model import BENIGN, MALICIOUS, Alphabets, Scenario
 JOINT_PROFILE_LIMIT = 10_000_000
 
 # A certified interval reaches at least this far to one side of its scanned
-# belief; beliefs closer than that to a region edge on both sides are not stored.
+# belief. A belief closer than that to a region edge on both sides is stored
+# as an interval of its own, while its state's table holds fewer than
+# MAX_INTERVALS intervals.
 MIN_REACH = 2.0**-20
+MAX_INTERVALS = 1024
 
 # A scan fills and reads this many bytes of receiver values at a time, so that
 # they are still in a core's cache; a proof's index arrays are no larger.
@@ -287,10 +293,13 @@ class _WindowScan:
     propagated along each state path. The constructor runs the belief-free
     half of the walk once. It keeps each path's weights, its dead mask and its
     receiver-utility and likelihood grids, and fills ``V_b``, ``V_m`` and the
-    gains. ``_walk`` is the belief walk: ``scan`` runs it at one belief and
-    then fills the receiver values block by block (``_blocks``) and finds
-    the least regret, and ``_term_bounds`` runs it at both ends of a belief
-    interval.
+    gains. From the benign gains it takes each benign row's least gain,
+    ``row_bounds``, which no regret in the row is below at any belief, and
+    ``row_order``, the rows sorted by bound and then by row. ``_walk`` is the
+    belief walk: ``scan`` runs it at one belief and then fills the receiver
+    values block by block (``_blocks``) in ``row_order``, finding the least
+    regret, until no row left can hold a smaller one; ``_term_bounds`` runs
+    the walk at both ends of a belief interval.
 
     The constructor reads the scenario's kernel rows and utility tables into
     index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
@@ -360,6 +369,8 @@ class _WindowScan:
             self.V_m += t_m[p, 0].take(seq_s, 0).take(seq_r, 1)
         self.gain_b = self.V_b.max(axis=0) - self.V_b
         self.gain_m = self.V_m.max(axis=0) - self.V_m
+        self.row_bounds = self.gain_b.min(axis=1)
+        self.row_order = np.argsort(self.row_bounds, kind="stable")
 
     def _walk(self, beta):
         """Run the belief walk from ``beta``, a float or an array that
@@ -384,14 +395,16 @@ class _WindowScan:
                 beta = np.where(step, p_m * beta / denom, beta)
 
     def _blocks(self, spreads, rows):
-        """Fill the receiver values of the benign rows ``rows``, ascending,
-        from ``scan``'s path spreads, in blocks of at most ``_BLOCK_BYTES``.
+        """Fill the receiver values of the benign rows ``rows``, in the order
+        given, from ``scan``'s path spreads, in blocks of at most
+        ``_BLOCK_BYTES``.
 
         Yields each block's row numbers and its values, shaped (row,
         malicious branch, receiver branch). Every block is written into the
         same buffer, so a block is valid only until the next one is asked
-        for. A row starts at +0 and adds, path by path, the slice of the
-        spread that its sequence on that path selects, a view.
+        for, and a block that is never asked for is never filled. A row
+        starts at +0 and adds, path by path, the slice of the spread that its
+        sequence on that path selects, a view.
         """
         nb, _, nr = self.shape
         rows = np.asarray(rows)
@@ -408,7 +421,7 @@ class _WindowScan:
             yield rows[lo : lo + per_block], block
 
     def scan(self, pi: float):
-        """Value every joint profile at belief ``pi``; find the first of least regret.
+        """Value the joint profiles at belief ``pi``; find the first of least regret.
 
         A profile's regret is the larger sender deviation gain where its
         receiver branch is a best response, and infinite elsewhere. Zero
@@ -423,6 +436,16 @@ class _WindowScan:
         benign rows at a time, and a block's best responses and least regret
         are found while it is still in cache. No receiver tensor is kept:
         the largest arrays a scan builds are the spreads and one block.
+
+        The rows are read in ``row_order``: by ``row_bounds``, the least
+        benign gain of the row, which no regret in the row is below, then
+        by row. The scan stops before a block whose first row's bound
+        exceeds the least regret found, since no later row can hold a
+        smaller one, or an equal one. Ties between blocks go to the smaller
+        flat index, so the choice is the first least-regret profile in
+        enumeration order, as in a scan of every row. A zero regret lies
+        only in a row of bound 0, and all of those are read when the least
+        regret is 0, so the zero count is exact.
         """
         r_b_sum = r_m_sum = 0.0
         for g_b, g_m, beta, _ in self._walk(pi):
@@ -432,19 +455,30 @@ class _WindowScan:
         seq_s, seq_r = self.sequences
         spreads = [t.take(r, 2).take(s, 1) for t, s, r in zip(t_r, seq_s, seq_r)]
         nb, _, nr = self.shape
-        least, choice, value, zeros = math.inf, None, None, 0
-        for rows, block in self._blocks(spreads, range(nb)):
+        bounds = self.row_bounds[self.row_order]
+        # the least regret and the flat index of its first profile so far
+        least, first, value, zeros = math.inf, nb * nb * nr, None, 0
+        read = 0
+        for rows, block in self._blocks(spreads, self.row_order):
             pairs = block.reshape(-1, nr)
             # an argmax and a gather are faster than a max along the short last axis
             best = pairs[np.arange(len(pairs)), pairs.argmax(axis=1)]
             k_b, m, r = np.unravel_index(np.flatnonzero(pairs >= best[:, None]), block.shape)
             regret = np.maximum(self.gain_b[rows[k_b], r], self.gain_m[m, r])
-            k = int(regret.argmin())
-            if regret[k] < least:
-                least, value = float(regret[k]), float(block[k_b[k], m[k], r[k]])
-                choice = (int(rows[k_b[k]]), int(m[k]), int(r[k]))
+            low = float(regret.min())
+            hits = np.flatnonzero(regret == low)
+            flat = (rows[k_b[hits]] * nb + m[hits]) * nr + r[hits]
+            k = int(flat.argmin())
+            if (low, int(flat[k])) < (least, first):
+                least, first = low, int(flat[k])
+                k = hits[k]
+                value = float(block[k_b[k], m[k], r[k]])
             zeros += int(np.count_nonzero(regret == 0.0))
-        return spreads, choice, value, least, zeros
+            read += len(rows)
+            if read < nb and bounds[read] > least:
+                break
+        b, rest = divmod(first, nb * nr)
+        return spreads, (b, *divmod(rest, nr)), value, least, zeros
 
     @cached_property
     def _margin(self):
@@ -694,13 +728,15 @@ class RecedingHorizonPolicy:
     of the belief in turn: first up to the end of the uncovered stretch
     around it, halving that side's reach on failure until it is below
     ``MIN_REACH``. The two proven sides make one stored interval. Beliefs 0
-    and 1, which Bayes' rule keeps, are stored alone after one scan; beliefs
-    that neither side covers are scanned each time, so the tables stay bounded.
+    and 1, which Bayes' rule keeps, are stored alone after one scan, and so
+    is a belief that neither side covers, such as a region edge, while the
+    state's table holds fewer than ``MAX_INTERVALS`` intervals; past that
+    such a belief is scanned each time, so the tables stay bounded.
     A belief outside [0, 1], or NaN, raises ValueError.
 
     ``counts`` tallies scans, proofs tried and accepted, and scanned beliefs
-    left uncovered. Each stored interval is logged at DEBUG level on the
-    ``siggame.equilibrium`` logger.
+    that no proof covered. Each stored interval is logged at DEBUG level on
+    the ``siggame.equilibrium`` logger.
     """
 
     def __init__(self, scenario: Scenario):
@@ -734,7 +770,9 @@ class RecedingHorizonPolicy:
         ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, spreads, choice, pi_m)
         if ends is None:
             self.counts["uncovered"] += 1
-        else:
+            if len(table.edges) < 2 * MAX_INTERVALS:
+                ends = (pi_m, pi_m)
+        if ends is not None:
             table.insert(*ends, roots, least)
             _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *ends, roots, least)
         return roots

@@ -71,11 +71,13 @@ def labelled_alphabets(n_states, n_actions, n_reactions):
     )
 
 
-def random_scenario(al, horizon, rng):
+def random_scenario(al, horizon, rng, integer=False):
     """A scenario over ``al`` with kernel rows and utilities drawn from ``rng``.
 
     Kernel rows come from small integer weights, so zero probabilities
     (vanishing paths) and equal likelihoods under both actions are common.
+    Utilities are uniform on [-5, 5), or with ``integer`` drawn from -2..2,
+    so that equal values, and so ties between profiles, are common too.
     """
     table = {}
     for key in itertools.product(al.states, al.actions, al.reactions):
@@ -84,9 +86,13 @@ def random_scenario(al, horizon, rng):
             weights[rng.integers(len(weights))] = 1.0
         table[key] = tuple(weights / weights.sum())
     keys = list(itertools.product(TYPES, al.states, al.actions, al.reactions))
+
+    def utility():
+        return float(rng.integers(-2, 3) if integer else rng.uniform(-5, 5))
+
     utilities = UtilityTables(
-        sender={k: float(rng.uniform(-5, 5)) for k in keys},
-        receiver={k: float(rng.uniform(-5, 5)) for k in keys},
+        sender={k: utility() for k in keys},
+        receiver={k: utility() for k in keys},
     )
     return Scenario(
         alphabets=al,

@@ -1,9 +1,12 @@
 import itertools
+import json
 import logging
 import math
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import labelled_alphabets, random_scenario
+from siggame import equilibrium
 from siggame.beliefs import BeliefState
 from siggame.equilibrium import (
     EnumerationLimitError,
@@ -288,12 +292,12 @@ beliefs = st.one_of(st.sampled_from([0.0, 1.0, 1e-300]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def random_windows(draw):
+def random_windows(draw, integer=False):
     """A ``random_scenario`` with a (belief, state) point to solve it at."""
     horizon = draw(st.sampled_from(sorted(_SHAPES)))
     al = labelled_alphabets(*draw(st.sampled_from(_SHAPES[horizon])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scenario = random_scenario(al, horizon, rng)
+    scenario = random_scenario(al, horizon, rng, integer)
     return scenario, draw(beliefs), draw(st.sampled_from(al.states)), rng
 
 
@@ -301,6 +305,18 @@ def receiver_tensor(window, spreads):
     """The whole receiver tensor, assembled from ``_blocks``' reused buffer."""
     nb = window.shape[0]
     return np.concatenate([block.copy() for _, block in window._blocks(spreads, range(nb))])
+
+
+def counting_blocks(blocks, read):
+    """``blocks``, a ``_WindowScan._blocks``, appending each block's row
+    count to ``read`` as the block is handed out."""
+
+    def counted(*args):
+        for rows, block in blocks(*args):
+            read.append(len(rows))
+            yield rows, block
+
+    return counted
 
 
 class TestValueMatricesAgainstOracle:
@@ -370,15 +386,85 @@ class TestRegretStep:
         assert choice == np.unravel_index(int(np.argmin(regret)), regret.shape)
         assert least == regret.min()
         assert zeros == np.count_nonzero(regret == 0.0)
-        return zeros
+        return choice, least, zeros
 
-    @settings(max_examples=40, deadline=None)
-    @given(random_windows())
-    def test_random_windows(self, drawn):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_windows() | random_windows(integer=True),
+        st.sampled_from([8, equilibrium._BLOCK_BYTES]),
+    )
+    def test_random_windows(self, drawn, block_bytes):
+        # integer utilities make rows share bounds, profiles share the least
+        # regret and zero regrets come in numbers; blocks of one row make the
+        # scan's stop and its tie rule between blocks act at every row
         scenario, pi, state, _ = drawn
         al = scenario.alphabets
         window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
-        self.assert_scan_matches_definition(window, pi)
+        with mock.patch.object(equilibrium, "_BLOCK_BYTES", block_bytes):
+            self.assert_scan_matches_definition(window, pi)
+
+    def test_choice_in_last_row_of_bound_order(self):
+        # found by search: row 0's bound is 1/6 and every other row's is 0;
+        # the least regret, 1/6, lies in row 0 alone, which is read last
+        al = labelled_alphabets(2, 2, 2)
+        scenario = random_scenario(al, 2, np.random.default_rng(177), integer=True)
+        window = _WindowScan(scenario, _Enumeration(al, 2), 0)
+        assert window.row_order[-1] == 0
+        read = []
+        with mock.patch.object(equilibrium, "_BLOCK_BYTES", 8):  # one row per block
+            with mock.patch.object(window, "_blocks", counting_blocks(window._blocks, read)):
+                _, choice, _, least, _ = window.scan(0.25)
+            self.assert_scan_matches_definition(window, 0.25)
+        assert choice[0] == 0 and least == window.row_bounds[0] > 0.0
+        assert read == [1] * window.shape[0]
+
+    @pytest.mark.parametrize("block_bytes", [8, equilibrium._BLOCK_BYTES])
+    def test_least_regret_tie_goes_to_first_row(self, block_bytes):
+        # found by search: the least regret, 1, lies in row 0, of bound 3/4,
+        # and in rows 1 and 3, of bound 0, which are read before it, in the
+        # same block or in blocks of their own
+        al = labelled_alphabets(2, 2, 2)
+        scenario = random_scenario(al, 2, np.random.default_rng(16), integer=True)
+        window = _WindowScan(scenario, _Enumeration(al, 2), 0)
+        assert window.row_bounds[[0, 1, 3]].tolist() == [0.75, 0.0, 0.0]
+        with mock.patch.object(equilibrium, "_BLOCK_BYTES", block_bytes):
+            choice, least, _ = self.assert_scan_matches_definition(window, 0.5)
+        assert choice[0] == 0 and least == 1.0
+
+    def test_horizon_three_scan_reads_few_rows(self, table1, table4, monkeypatch):
+        # the benchmark's pinned horizon-3 points, exact and fallback: each
+        # scan reads fewer than all 128 benign rows and solves as pinned
+        golden = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+        points = json.loads(golden.read_text())["solve_h3"]
+        scenarios = {"table1": _with_horizon(table1, 3), "table4": _with_horizon(table4, 3)}
+        blocks = _WindowScan._blocks
+        for pinned in points.values():
+            read = []
+            monkeypatch.setattr(_WindowScan, "_blocks", counting_blocks(blocks, read))
+            point = {k: pinned[k] for k in ("config", "state", "belief")}
+            scenario = scenarios[point["config"]]
+            try:
+                result = solve_bne(scenario, BeliefState(point["belief"]), point["state"])
+            except NoPureEquilibriumError as err:
+                point |= {
+                    "kind": "fallback",
+                    "roots": list(err.fallback_profile.root_prescriptions()),
+                    "fallback_regret": err.fallback_regret,
+                }
+            else:
+                point |= {
+                    "kind": "exact",
+                    "roots": list(result.profile.root_prescriptions()),
+                    "values": [
+                        result.sender_value_benign,
+                        result.sender_value_malicious,
+                        result.receiver_value,
+                    ],
+                    "multiplicity": result.multiplicity,
+                }
+            assert point == pinned
+            assert 0 < sum(read) < 128
+        assert {p["kind"] for p in points.values()} == {"exact", "fallback"}
 
     def test_equal_receiver_utilities(self, table1):
         # every receiver value is 0, so every receiver branch responds
@@ -395,7 +481,7 @@ class TestRegretStep:
 
     def test_equilibrium_multiplicity(self, table1):
         window = _WindowScan(table1, _Enumeration(table1.alphabets, table1.horizon), 0)
-        assert self.assert_scan_matches_definition(window, 0.1) == 16
+        assert self.assert_scan_matches_definition(window, 0.1)[2] == 16
 
     @staticmethod
     def traced_peak(call):
@@ -576,6 +662,27 @@ class TestRecedingHorizonPolicy:
         assert counts["scans"] == 3  # beliefs 0 and 1 are stored after one scan each
         assert counts["uncovered"] == 0
         assert 1 <= counts["proofs_accepted"] <= counts["proofs_tried"]
+
+    def test_uncovered_belief_stored_alone(self, table1):
+        # the receiver is within the margin of indifferent at 0.2 in x_n, so
+        # no proof is tried there, and the scan's answer is stored as a point
+        policy = RecedingHorizonPolicy(table1)
+        first = policy.decide(0.2, "x_n")
+        assert [policy.decide(0.2, "x_n") for _ in range(3)] == [first] * 3
+        assert policy.counts["scans"] == policy.counts["uncovered"] == 1
+        assert policy._regions["x_n"].edges == [0.2, math.nextafter(0.2, 1.0)]
+
+    def test_uncovered_beliefs_past_the_cap_are_scanned_each_time(self, table1, monkeypatch):
+        monkeypatch.setattr(equilibrium, "MAX_INTERVALS", 2)
+        policy = RecedingHorizonPolicy(table1)
+        for pi in (0.2, 0.5, 0.2000000000000002, 0.2000000000000002):
+            policy.decide(pi, "x_n")
+        assert policy.counts["scans"] == policy.counts["uncovered"] == 4
+        table = policy._regions["x_n"]
+        assert table.edges == [0.2, math.nextafter(0.2, 1.0), 0.5, math.nextafter(0.5, 1.0)]
+        assert policy.decide(0.2000000000000002, "x_n") == _fresh_scan_roots(table1)(
+            0.2000000000000002, "x_n"
+        )
 
     @pytest.mark.parametrize("pi", [math.nan, 1.5, -0.25, math.inf])
     def test_belief_outside_unit_interval_raises(self, table1, pi):
