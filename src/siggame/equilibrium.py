@@ -37,11 +37,13 @@ The receding-horizon policy scans only where it has not proven the answer.
 The scan's choice is the first profile, in a belief-free order by regret and
 then flat index, whose receiver branch is a best response, and the belief
 moves the receiver values only. Bayes' rule is monotone in the belief, so the
-scan's own belief walk, run from both ends of a belief interval, bounds every
-receiver term over it. From those bounds, path by path,
-``_WindowScan.certifier`` proves that the choice stays a best response and
-that no profile ahead of it becomes one. Each state keeps the intervals
-proven so far, and a belief inside one is answered by a bisect.
+scan's own belief walk, run from the scanned belief and from an interval's
+other end, bounds every receiver term over the interval. From those bounds,
+path by path, ``_WindowScan.certifier`` proves that the choice stays a best
+response and that no profile ahead of it becomes one. It tries a ladder of
+ever shorter intervals on each side, several rungs to one walk. Each state
+keeps the intervals proven so far, and a belief inside one is answered by a
+bisect.
 
 Tie-breaking is lexicographic in enumeration order: trees are enumerated by
 assigning labels (in alphabet order) to nodes ordered by depth then state
@@ -78,6 +80,11 @@ MAX_INTERVALS = 1024
 # A scan fills and reads this many bytes of receiver values at a time, so that
 # they are still in a core's cache; a proof's index arrays are no larger.
 _BLOCK_BYTES = 2**19
+
+# A proof walks the belief from its scanned belief and up to this many rung
+# ends at once: they share the walk's numpy calls, and a larger group walks
+# more rungs past the first one that holds.
+_RUNGS_PER_WALK = 4
 
 _log = logging.getLogger(__name__)
 
@@ -298,8 +305,11 @@ class _WindowScan:
     ``row_order``, the rows sorted by bound and then by row. ``_walk`` is the
     belief walk: ``scan`` runs it at one belief and then fills the receiver
     values block by block (``_blocks``) in ``row_order``, finding the least
-    regret, until no row left can hold a smaller one; ``_term_bounds`` runs
-    the walk at both ends of a belief interval.
+    regret, until no row left can hold a smaller one. ``certifier`` proves a
+    scan's choice over a ladder of belief intervals around the scanned
+    belief, the rungs; ``_term_bounds`` runs one walk from the scanned belief
+    and a group of rung ends, and ``_cells`` reads which grid cells tie off
+    the tie table, ``_differs``, built once per window.
 
     The constructor reads the scenario's kernel rows and utility tables into
     index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
@@ -499,16 +509,22 @@ class _WindowScan:
                 ratio = max(ratio, float((big / small).max()))
         return 1e-9 * scale * len(self.dead) * ratio ** (self.horizon - 1)
 
-    def _term_bounds(self, lo: float, hi: float):
-        """Per-cell lower and upper receiver terms over the beliefs in [lo, hi].
+    def _term_bounds(self, pi: float, ends):
+        """Per-cell lower and upper receiver terms over the beliefs between
+        ``pi`` and each of ``ends``, one rung of a ladder each.
 
-        Runs ``_walk`` from both ends at once. Bayes' rule is nondecreasing in
-        the belief, so while the mixture guard cannot switch, each cell's
-        belief at each step stays between the two walks, and each step's term
-        is linear in it; its min and max over the two ends bound it. Returns
-        None where a moving cell that is not dead has a mixture within
-        2 * ``MIN_MIXTURE`` at either end, as the guard could then switch
-        inside the interval.
+        Runs one ``_walk`` from ``pi`` and every end, stacked on a leading
+        axis. Bayes' rule is nondecreasing in the belief, so while the mixture
+        guard cannot switch, each cell's belief at each step stays between the
+        walk from ``pi`` and the walk from an end, and each step's term is
+        linear in it; the elementwise min and max of the two rows' terms bound
+        it. Every row is walked on its own floats, so each end gets the bytes
+        that a walk of ``pi`` and that end alone would give.
+
+        Returns (lower, upper, switches): the bounds, shaped (end, *grid), and
+        per end whether a moving cell that is not dead has a mixture within
+        2 * ``MIN_MIXTURE`` at ``pi`` or at that end, as the guard could then
+        switch between them and that end's bounds prove nothing.
         Elsewhere the guard cannot: a moving cell's mixture stays above
         ``MIN_MIXTURE`` between the ends, Bayes' rule returns a belief of 0
         or 1 unchanged, and a dead cell's term is 0 whatever its belief, as
@@ -516,74 +532,101 @@ class _WindowScan:
         """
         w_b, w_m = self.w_b, self.w_m
         lower = upper = 0.0
-        for g_b, g_m, beta, bayes in self._walk(np.array([lo, hi])[:, None, None, None, None]):
+        switches = np.zeros(len(ends), bool)
+        for g_b, g_m, beta, bayes in self._walk(np.array([pi, *ends])[:, None, None, None, None]):
             term = w_b * (g_b * (1.0 - beta)) + w_m * (g_m * beta)
-            lower = lower + term.min(axis=0)
-            upper = upper + term.max(axis=0)
+            lower = lower + np.minimum(term[:1], term[1:])
+            upper = upper + np.maximum(term[:1], term[1:])
             if bayes is not None:
                 moves, denom = bayes
-                if np.any(moves & ~self.dead & (denom <= 2.0 * MIN_MIXTURE)):
-                    return None
-        return lower / self.horizon, upper / self.horizon
+                near = denom <= 2.0 * MIN_MIXTURE
+                if near.any():  # rare: it takes a zero likelihood
+                    near = (near & moves & ~self.dead).reshape(len(near), -1).any(axis=1)
+                    switches = switches | near[0] | near[1:]
+        return lower / self.horizon, upper / self.horizon, switches
 
-    def _cells(self, ib, im, r_x, r_y):
-        """Flat grid cells, one row per path, of receiver branches ``r_x``
-        and ``r_y`` against the sender pairs (``ib``, ``im``), and where the
-        two cells' terms may differ; all four are index arrays of one length.
+    @cached_property
+    def _differs(self):
+        """The window's tie table, negated and flat: per (path, benign
+        sequence, malicious sequence, reaction sequence, reaction sequence),
+        whether the two reaction sequences' cells may have different terms.
         Two cells with equal receiver utilities and likelihoods at every step
-        tie at every belief, as do two dead cells. The cells share a path and
-        sender sequences, so only cells along the reaction axis are compared."""
-        n_paths, n_a, _, n_r = self.dead.shape
-        seq_s, seq_r = self.sequences
-        base = ((np.arange(n_paths)[:, None] * n_a + seq_s[:, ib]) * n_a + seq_s[:, im]) * n_r
-        x, y = base + seq_r[:, r_x], base + seq_r[:, r_y]
-        both_dead = self.dead[..., :, None] & self.dead[..., None, :]  # (path, a_b, a_m, r, r')
+        tie at every belief, as do two dead cells. It depends on no belief
+        and no profile, so it is built once, on the window's first proof."""
+        both_dead = self.dead[..., :, None] & self.dead[..., None, :]
         equal = True
         for g_b, g_m, bayes in self.steps:
             for g in (g_b, g_m, *(bayes or ())[:2]):
                 equal = equal & (g[..., :, None] == g[..., None, :])
-        return x, y, ~(both_dead | equal).ravel()[x * n_r + seq_r[:, r_y]]
+        return ~(both_dead | equal).ravel()
+
+    def _cells(self, ib, im, r_x, r_y):
+        """Flat grid cells, one row per path, of receiver branches ``r_x``
+        and ``r_y`` against the sender pairs (``ib``, ``im``), and where the
+        two cells' terms may differ, read off ``_differs``; all four are
+        index arrays of one length. The cells share a path and sender
+        sequences, so only cells along the reaction axis are compared."""
+        n_paths, n_a, _, n_r = self.dead.shape
+        seq_s, seq_r = self.sequences
+        base = ((np.arange(n_paths)[:, None] * n_a + seq_s[:, ib]) * n_a + seq_s[:, im]) * n_r
+        x, y = base + seq_r[:, r_x], base + seq_r[:, r_y]
+        return x, y, self._differs[x * n_r + seq_r[:, r_y]]
 
     def _ahead(self, ib, im, ir):
         """Flat indices of the profiles ahead of (``ib``, ``im``, ``ir``) in
         the belief-free scan order: by regret were the receiver best-responding,
-        the larger sender gain ``k``, then by flat index."""
+        the larger sender gain ``k``, then by flat index. A benign row whose
+        ``row_bounds`` entry exceeds ``k`` holds only larger keys, so the
+        masks cover the other rows alone."""
         nb, _, nr = self.shape
-        c = (ib * nb + im) * nr + ir
         k = max(self.gain_b[ib, ir], self.gain_m[im, ir])
-        ahead = ((self.gain_b[:, None] <= k) & (self.gain_m <= k)).ravel()
-        ahead[c:] = ((self.gain_b[:, None] < k) & (self.gain_m < k)).ravel()[c:]
-        return np.flatnonzero(ahead)
+        rows = np.flatnonzero(self.row_bounds <= k)  # holds ib, as gain_b[ib, ir] <= k
+        gain_b = self.gain_b[rows, None]
+        ahead = ((gain_b <= k) & (self.gain_m <= k)).reshape(len(rows), -1)
+        behind = ((gain_b < k) & (self.gain_m < k)).reshape(len(rows), -1)
+        i = int(np.searchsorted(rows, ib))
+        c = im * nr + ir
+        ahead[i, c:] = behind[i, c:]
+        ahead[i + 1 :] = behind[i + 1 :]
+        flat = [np.flatnonzero(mask) + row * mask.size for row, mask in zip(rows.tolist(), ahead)]
+        return np.concatenate(flat)
 
-    def certifier(self, spreads, choice) -> Callable[[float, float], bool] | None:
-        """A test of whether ``scan`` picks ``choice`` at every belief of an
-        interval; ``spreads`` and ``choice`` are ``scan``'s output at a belief
-        inside every interval tested. None if a value difference that the
-        test needs is within the margin already at that belief.
+    def certifier(self, spreads, choice, pi: float) -> Callable[[list[float]], int | None] | None:
+        """A test of whether ``scan`` picks ``choice`` at every belief
+        between ``pi`` and an end; ``spreads`` and ``choice`` are ``scan``'s
+        output at ``pi``. None if a value difference that the test needs is
+        within the margin already at ``pi``.
 
-        The receiver values at that belief are filled again by ``_blocks``,
-        only for the benign rows of the profiles ahead and of ``choice``;
-        the test keeps of them each pair's best response and each profile's
-        gap to it, not the values.
+        The test takes a ladder of ends on one side of ``pi``, ordered from
+        the farthest, and returns the index of the first end whose interval
+        it proves, or None. It proves the rungs in groups of
+        ``_RUNGS_PER_WALK``, the next group only when no rung of the last one
+        holds: one ``_term_bounds`` walk per group, and the rival check and
+        the drift of each rung as arrays over the group.
+
+        The receiver values at ``pi`` are filled again by ``_blocks``, only
+        for the benign rows of the profiles ahead and of ``choice``; the test
+        keeps of them each pair's best response and each profile's gap to
+        it, not the values.
 
         Each value difference is bounded path by path from ``_term_bounds``,
         and a path on which both profiles land in cells with equal inputs,
-        or in two dead cells, adds exactly 0 (see ``_cells``). The test
-        proves, with ``_margin`` to spare:
+        or in two dead cells, adds exactly 0 (see ``_cells``). A rung holds
+        if its bounds prove, with ``_margin`` to spare:
 
         (a) ``choice`` stays a receiver best response: against its sender
             pair every other receiver branch is worth less, or the same on
             every path;
         (b) no profile ahead of ``choice`` in the scan order becomes one:
             each is worth less than the receiver branch that is best against
-            its pair at the scanned belief. A profile whose gap at the
-            scanned belief exceeds twice the largest drift of a value over
-            the interval needs no path-by-path bound.
+            its pair at ``pi``. A profile whose gap at ``pi`` exceeds twice
+            the largest drift of a value over the rung's interval needs no
+            path-by-path bound.
 
         The profiles ahead come from ``_ahead``; none of the checks depends
-        on their order. The close profiles of a proof are checked in chunks
-        of at most ``_BLOCK_BYTES`` per index array, and the first chunk
-        that fails ends it.
+        on their order. A rung's close profiles are checked in chunks of at
+        most ``_BLOCK_BYTES`` per index array, and the first chunk that fails
+        ends that rung.
         """
         nb, _, nr = self.shape
         ib, im, ir = choice
@@ -616,17 +659,11 @@ class _WindowScan:
         chunk = _BLOCK_BYTES // (8 * n_paths)
 
         def upper(t_lo, t_hi, cells):
+            # t_lo and t_hi hold flat cells on their last axis, one row per rung
             x, y, differ = cells
-            return np.where(differ, t_hi.ravel()[x] - t_lo.ravel()[y], 0.0).sum(axis=0)
+            return np.where(differ, t_hi[..., x] - t_lo[..., y], 0.0).sum(axis=-2)
 
-        def proves(lo: float, hi: float) -> bool:
-            bounds = self._term_bounds(lo, hi)
-            if bounds is None:
-                return False
-            t_lo, t_hi = bounds
-            if not np.all(rival_ties | (upper(t_lo, t_hi, rival_cells) <= -margin)):
-                return False
-            drift = float((t_hi - t_lo).reshape(n_paths, -1).max(axis=1).sum())
+        def holds(t_lo, t_hi, drift: float) -> bool:
             close = np.flatnonzero(gaps <= 2.0 * drift + margin)
             for i in range(0, close.size, chunk):
                 e = earlier[close[i : i + chunk]]
@@ -636,7 +673,18 @@ class _WindowScan:
                     return False
             return True
 
-        return proves
+        def first_proven(ends: list[float]) -> int | None:
+            for g in range(0, len(ends), _RUNGS_PER_WALK):
+                t_lo, t_hi, switches = self._term_bounds(pi, ends[g : g + _RUNGS_PER_WALK])
+                t_lo, t_hi = (t.reshape(len(switches), -1) for t in (t_lo, t_hi))
+                best_kept = np.all(rival_ties | (upper(t_lo, t_hi, rival_cells) <= -margin), axis=1)
+                drift = (t_hi - t_lo).reshape(len(switches), n_paths, -1).max(axis=2).sum(axis=1)
+                for j in np.flatnonzero(best_kept & ~switches).tolist():
+                    if holds(t_lo[j], t_hi[j], float(drift[j])):
+                        return g + j
+            return None
+
+        return first_proven
 
 
 def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> EquilibriumResult:
@@ -725,9 +773,10 @@ class RecedingHorizonPolicy:
     scanned: the belief-free half of the state's window is built on the
     state's first ``decide``, and each scan re-runs only the belief walk and
     the receiver pass. The scan then tries to prove its choice on each side
-    of the belief in turn: first up to the end of the uncovered stretch
-    around it, halving that side's reach on failure until it is below
-    ``MIN_REACH``. The two proven sides make one stored interval. Beliefs 0
+    of the belief in turn, along a ladder of ends (see ``_certify``): first
+    up to the end of the uncovered stretch around it, then with that side's
+    reach halved, down to ``MIN_REACH``. The first rung proven on each side
+    gives that side's end, and the two sides make one stored interval. Beliefs 0
     and 1, which Bayes' rule keeps, are stored alone after one scan, and so
     is a belief that neither side covers, such as a region edge, while the
     state's table holds fewer than ``MAX_INTERVALS`` intervals; past that
@@ -778,21 +827,30 @@ class RecedingHorizonPolicy:
         return roots
 
     def _certify(self, table, spreads, choice, pi):
-        """The proven interval around ``pi`` in its uncovered stretch, or None."""
-        proves = table.window.certifier(spreads, choice)
-        if proves is None:
+        """The proven interval around ``pi`` in its uncovered stretch, or None.
+
+        Each side's ladder of ends is known before any proof: the reach is
+        first the distance to the end of the stretch, then halved while it is
+        at least ``MIN_REACH``, and the ends are ``max(lo, pi - reach)`` below
+        ``pi`` and ``min(hi, pi + reach)`` above it. A side keeps its first
+        rung that proves, and ``counts`` tallies the rungs up to that one, or
+        the whole ladder if none does.
+        """
+        first_proven = table.window.certifier(spreads, choice, pi)
+        if first_proven is None:
             return None
         counts = self.counts
         lo, hi = table.gap(pi)
         ends = [pi, pi]
         for side, bound in enumerate((lo, hi)):
             reach = abs(bound - pi)
+            ladder = []
             while reach >= MIN_REACH:
-                end = max(lo, pi - reach) if side == 0 else min(hi, pi + reach)
-                counts["proofs_tried"] += 1
-                if proves(min(end, pi), max(end, pi)):
-                    counts["proofs_accepted"] += 1
-                    ends[side] = end
-                    break
+                ladder.append(max(lo, pi - reach) if side == 0 else min(hi, pi + reach))
                 reach /= 2.0
+            k = first_proven(ladder)
+            counts["proofs_tried"] += len(ladder) if k is None else k + 1
+            if k is not None:
+                counts["proofs_accepted"] += 1
+                ends[side] = ladder[k]
         return None if ends[0] == ends[1] else tuple(ends)

@@ -642,6 +642,27 @@ class TestRecedingHorizonPolicy:
                 assert scan_roots(pi, state) == roots
             assert policy.counts["scans"] <= max_scans
 
+    @pytest.mark.parametrize(
+        "config, horizon, episodes, counts, intervals",
+        [
+            ("table1", 2, 50, (20, 109, 40, 0), {"x_a": 3, "x_n": 2}),
+            ("table4", 2, 50, (21, 134, 42, 0), {"x_a": 2, "x_n": 3}),
+            ("table1", 3, 5, (29, 168, 56, 1), {"x_a": 6, "x_n": 6}),
+            ("table4", 3, 3, (19, 133, 38, 0), {"x_a": 3, "x_n": 3}),
+        ],
+    )
+    def test_pinned_counts(self, request, config, horizon, episodes, counts, intervals):
+        # one policy over the episodes of a one-worker ``run_batch``; the
+        # counts were recorded when every rung was proven by a walk of its
+        # own, so a ladder proven in groups tries and accepts the same rungs
+        scenario = _with_horizon(request.getfixturevalue(config), horizon)
+        policy = RecedingHorizonPolicy(scenario)
+        for i in range(episodes):
+            run_episode(scenario, derive_episode_seed(scenario.base_seed, i), policy)
+        keys = ("scans", "proofs_tried", "proofs_accepted", "uncovered")
+        assert policy.counts == dict(zip(keys, counts))
+        assert {s: len(t.edges) // 2 for s, t in policy._regions.items()} == intervals
+
     def test_debug_logging_leaves_trajectories_unchanged(self, table1, caplog):
         scenario = _with_horizon(table1, 2)
         _, quiet = run_batch(scenario, 5, scenario.base_seed)
@@ -793,6 +814,17 @@ class TestRegionTable:
         assert [table.roots[bisect_right(table.edges, pi)] for pi in lookups] == expected
 
 
+def _ladder(pi, end, rungs):
+    """At most ``rungs`` ends from ``end`` back toward ``pi``, the reach
+    halved at each while it is at least ``MIN_REACH``, as
+    ``RecedingHorizonPolicy._certify`` builds one side's ladder."""
+    reach, ends = abs(end - pi), []
+    while reach >= equilibrium.MIN_REACH and len(ends) < rungs:
+        ends.append(max(end, pi - reach) if end < pi else min(end, pi + reach))
+        reach /= 2.0
+    return ends
+
+
 def _receiver_terms(window, pi):
     """Each grid cell's receiver term at belief ``pi``, summed over
     ``_walk`` as ``_WindowScan.scan`` sums it."""
@@ -810,17 +842,52 @@ class TestCertifiedIntervals:
         scenario, pi, state, _ = drawn
         al = scenario.alphabets
         window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
-        lo, hi = sorted((pi, other_pi))
-        bounds = window._term_bounds(lo, hi)
-        if bounds is None:
-            return  # a live, moving cell's mixture is near MIN_MIXTURE: nothing is claimed
-        lower, upper = bounds
+        ends = _ladder(pi, other_pi, 6)
+        lower, upper, switches = window._term_bounds(pi, ends)
         # the proofs need the bounds good to within their margin
         margin = window._margin
-        for belief in [lo, hi] + [min(hi, lo + f * (hi - lo)) for f in fractions]:
-            terms = _receiver_terms(window, belief)
-            assert np.all(lower - margin <= terms)
-            assert np.all(terms <= upper + margin)
+        for end, rung_lower, rung_upper, switch in zip(ends, lower, upper, switches):
+            if switch:
+                continue  # a live, moving cell's mixture is near MIN_MIXTURE: nothing is claimed
+            lo, hi = sorted((pi, end))
+            for belief in [lo, hi] + [min(hi, lo + f * (hi - lo)) for f in fractions]:
+                terms = _receiver_terms(window, belief)
+                assert np.all(rung_lower - margin <= terms)
+                assert np.all(terms <= rung_upper + margin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_windows(), st.lists(beliefs, min_size=1, max_size=9))
+    def test_grouped_ends_keep_their_bounds(self, drawn, ends):
+        # one walk from pi and many ends, on both sides of it, gives each end
+        # the bytes of a walk from pi and that end alone, or no claim for both
+        scenario, pi, state, _ = drawn
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        lower, upper, switches = window._term_bounds(pi, ends)
+        assert lower.shape == upper.shape == (len(ends), *window.dead.shape)
+        for end, rung_lower, rung_upper, switch in zip(ends, lower, upper, switches):
+            alone_lower, alone_upper, alone_switches = window._term_bounds(pi, [end])
+            assert switch == alone_switches[0]
+            assert switch == window._term_bounds(end, [pi])[2][0]  # both ends are guarded alike
+            if not switch:
+                assert rung_lower.tobytes() == alone_lower[0].tobytes()
+                assert rung_upper.tobytes() == alone_upper[0].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_windows(), beliefs)
+    def test_ladder_takes_its_first_rung_proven_alone(self, drawn, other_pi):
+        # the certifier proves a ladder a group of rungs at a time; the rung
+        # it takes is the first that a ladder of that rung alone proves
+        scenario, pi, state, _ = drawn
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        spreads, choice, _, _, _ = window.scan(pi)
+        first_proven = window.certifier(spreads, choice, pi)
+        if first_proven is None:
+            return  # a value difference is within the margin at pi: no proof is tried
+        ladder = _ladder(pi, other_pi, 3 * equilibrium._RUNGS_PER_WALK)
+        alone = [first_proven([end]) == 0 for end in ladder]
+        assert first_proven(ladder) == (alone.index(True) if any(alone) else None)
 
     @settings(max_examples=40, deadline=None)
     @given(random_windows())
@@ -831,6 +898,8 @@ class TestCertifiedIntervals:
         al = scenario.alphabets
         window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
         nb, _, nr = window.shape
+        window.scan(pi)
+        assert "_differs" not in vars(window)  # a scan builds no tie table
         ib, im = rng.integers(nb, size=64), rng.integers(nb, size=64)
         x, y, differ = window._cells(ib, im, rng.integers(nr, size=64), rng.integers(nr, size=64))
         x, y = x[~differ], y[~differ]
@@ -885,8 +954,8 @@ class TestCertifiedIntervals:
             assert np.all(one == 1.0)
 
     @settings(max_examples=40, deadline=None)
-    @given(policy_queries())
-    def test_answers_equal_fresh_scans(self, drawn):
+    @given(policy_queries(), st.integers(0, 2**32 - 1))
+    def test_answers_equal_fresh_scans(self, drawn, seed):
         scenario, queried = drawn
         policy = RecedingHorizonPolicy(scenario)
         scan_roots = _fresh_scan_roots(scenario)
@@ -894,6 +963,23 @@ class TestCertifiedIntervals:
         for pi in queried:
             for state in states:
                 assert policy.decide(pi, state) == scan_roots(pi, state)
+        # inside every stored interval: the doubles 1 to 8 ulps inside each
+        # end and three random points, all answered without a scan
+        scans = policy.counts["scans"]
+        rng = np.random.default_rng(seed)
+        for state, table in policy._regions.items():
+            edges = list(table.edges)
+            for k in range(0, len(edges), 2):
+                lo, hi = edges[k], math.nextafter(edges[k + 1], 0.0)
+                inside = rng.uniform(lo, hi, size=3).tolist()
+                up, down = lo, hi
+                for _ in range(8):
+                    up, down = math.nextafter(up, 1.0), math.nextafter(down, 0.0)
+                    inside += [up, down]
+                for pi in inside:
+                    if lo <= pi <= hi:
+                        assert policy.decide(pi, state) == scan_roots(pi, state)
+        assert policy.counts["scans"] == scans
         # the doubles on both sides of every stored interval end
         for state, table in policy._regions.items():
             for edge in list(table.edges):
