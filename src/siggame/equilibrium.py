@@ -564,8 +564,8 @@ class _WindowScan:
         """Flat grid cells, one row per path, of receiver branches ``r_x``
         and ``r_y`` against the sender pairs (``ib``, ``im``), and where the
         two cells' terms may differ, read off ``_differs``; all four are
-        index arrays of one length. The cells share a path and sender
-        sequences, so only cells along the reaction axis are compared."""
+        index arrays that broadcast together. The cells share a path and
+        sender sequences, so only cells along the reaction axis are compared."""
         n_paths, n_a, _, n_r = self.dead.shape
         seq_s, seq_r = self.sequences
         base = ((np.arange(n_paths)[:, None] * n_a + seq_s[:, ib]) * n_a + seq_s[:, im]) * n_r
@@ -573,23 +573,24 @@ class _WindowScan:
         return x, y, self._differs[x * n_r + seq_r[:, r_y]]
 
     def _ahead(self, ib, im, ir):
-        """Flat indices of the profiles ahead of (``ib``, ``im``, ``ir``) in
-        the belief-free scan order: by regret were the receiver best-responding,
-        the larger sender gain ``k``, then by flat index. A benign row whose
-        ``row_bounds`` entry exceeds ``k`` holds only larger keys, so the
-        masks cover the other rows alone."""
-        nb, _, nr = self.shape
+        """The profiles ahead of (``ib``, ``im``, ``ir``) in the belief-free
+        scan order (by regret were the receiver best-responding, the larger
+        sender gain ``k``, then by flat index), as (rows, mask): the benign
+        rows, ascending, that hold one, plus ``ib``, and a boolean mask over
+        them shaped (row, malicious branch, receiver branch). A row whose
+        ``row_bounds`` entry exceeds ``k`` holds only larger keys."""
+        nr = self.shape[2]
         k = max(self.gain_b[ib, ir], self.gain_m[im, ir])
         rows = np.flatnonzero(self.row_bounds <= k)  # holds ib, as gain_b[ib, ir] <= k
         gain_b = self.gain_b[rows, None]
-        ahead = ((gain_b <= k) & (self.gain_m <= k)).reshape(len(rows), -1)
-        behind = ((gain_b < k) & (self.gain_m < k)).reshape(len(rows), -1)
+        mask = (gain_b <= k) & (self.gain_m <= k)
+        behind = (gain_b < k) & (self.gain_m < k)
         i = int(np.searchsorted(rows, ib))
-        c = im * nr + ir
-        ahead[i, c:] = behind[i, c:]
-        ahead[i + 1 :] = behind[i + 1 :]
-        flat = [np.flatnonzero(mask) + row * mask.size for row, mask in zip(rows.tolist(), ahead)]
-        return np.concatenate(flat)
+        mask[i].flat[im * nr + ir :] = behind[i].flat[im * nr + ir :]
+        mask[i + 1 :] = behind[i + 1 :]
+        keep = mask.any(axis=(1, 2))
+        keep[i] = True
+        return rows[keep], mask[keep]
 
     def certifier(self, spreads, choice, pi: float) -> Callable[[list[float]], int | None] | None:
         """A test of whether ``scan`` picks ``choice`` at every belief
@@ -604,10 +605,10 @@ class _WindowScan:
         holds: one ``_term_bounds`` walk per group, and the rival check and
         the drift of each rung as arrays over the group.
 
-        The receiver values at ``pi`` are filled again by ``_blocks``, only
-        for the benign rows of the profiles ahead and of ``choice``; the test
-        keeps of them each pair's best response and each profile's gap to
-        it, not the values.
+        The profiles ahead are ``_ahead``'s mask, and the receiver values at
+        ``pi`` are filled again by ``_blocks`` on its rows alone; the test
+        keeps of them each pair's best response and, in mask order, each
+        profile's gap to it, not the values.
 
         Each value difference is bounded path by path from ``_term_bounds``,
         and a path on which both profiles land in cells with equal inputs,
@@ -623,38 +624,31 @@ class _WindowScan:
             the largest drift of a value over the rung's interval needs no
             path-by-path bound.
 
-        The profiles ahead come from ``_ahead``; none of the checks depends
-        on their order. A rung's close profiles are checked in chunks of at
-        most ``_BLOCK_BYTES`` per index array, and the first chunk that fails
-        ends that rung.
+        A rung's close profiles are read off their flat positions in the
+        mask, in chunks of at most ``_BLOCK_BYTES`` per index array, and the
+        first chunk that fails ends that rung.
         """
         nb, _, nr = self.shape
         ib, im, ir = choice
-        earlier = self._ahead(ib, im, ir)
-        row_size = nb * nr
-        # where each benign row's profiles start in the sorted ``earlier``
-        starts = np.searchsorted(earlier, np.arange(nb + 1) * row_size)
-        touched = starts[1:] > starts[:-1]
-        touched[ib] = True
-        best = np.zeros((nb, nb), np.intp)  # per sender pair, on the touched rows
-        gaps = np.empty(len(earlier))
-        for rows, block in self._blocks(spreads, np.flatnonzero(touched)):
-            best[rows] = block.argmax(axis=2)
-            below = block.max(axis=2, keepdims=True) - block
-            for row, values, gap in zip(rows.tolist(), block, below):
-                span = slice(starts[row], starts[row + 1])
-                gaps[span] = gap.ravel()[earlier[span] - row * row_size]
-                if row == ib:
-                    chosen = values[im].copy()
+        rows, ahead = self._ahead(ib, im, ir)
         rivals = np.delete(np.arange(nr), ir)
-        rival_cells = self._cells(
-            np.full_like(rivals, ib), np.full_like(rivals, im), rivals, np.full_like(rivals, ir)
-        )
+        best = np.zeros((nb, nb), np.intp)  # per sender pair, on ``rows``
+        gaps, done = [], 0
+        for block_rows, block in self._blocks(spreads, rows):
+            best[block_rows] = block.argmax(axis=2)
+            below = block.max(axis=2, keepdims=True) - block
+            gaps.append(below[ahead[done : done + len(block_rows)]])
+            if ib in block_rows:
+                choice_gaps = below[int(np.searchsorted(block_rows, ib)), im, rivals]
+            done += len(block_rows)
+        gaps = np.concatenate(gaps)
+        rival_cells = self._cells([ib], [im], rivals, [ir])
         rival_ties = ~rival_cells[2].any(axis=0)
         margin = self._margin
-        near_tie = ~rival_ties & (chosen[ir] - chosen[rivals] <= margin)
+        near_tie = ~rival_ties & (choice_gaps <= margin)
         if near_tie.any() or np.any(gaps <= margin):
             return None  # then no interval around the scanned belief is provable
+        flat = np.flatnonzero(ahead)  # each gap's profile, flat within ``ahead``
         n_paths = len(self.dead)
         chunk = _BLOCK_BYTES // (8 * n_paths)
 
@@ -666,9 +660,10 @@ class _WindowScan:
         def holds(t_lo, t_hi, drift: float) -> bool:
             close = np.flatnonzero(gaps <= 2.0 * drift + margin)
             for i in range(0, close.size, chunk):
-                e = earlier[close[i : i + chunk]]
-                b, m = np.divmod(e // nr, nb)
-                cells = self._cells(b, m, e % nr, best[b, m])
+                k, rest = np.divmod(flat[close[i : i + chunk]], nb * nr)
+                m, r = np.divmod(rest, nr)
+                b = rows[k]
+                cells = self._cells(b, m, r, best[b, m])
                 if not np.all(upper(t_lo, t_hi, cells) <= -margin):
                     return False
             return True
@@ -762,10 +757,10 @@ class _RegionTable:
 class RecedingHorizonPolicy:
     """Per-step decision rule: solve the window at (belief, state), keep roots.
 
-    The roots are those of the first least-regret profile: the first pure
-    equilibrium when one exists, else the defender-anchored fallback
-    (receiver exactly best-responding, sender regret minimized) that
-    ``solve_bne`` attaches to its error.
+    The roots are those of the first least-regret profile, read off the
+    enumeration as ``solve_bne`` reads them: the first pure equilibrium when
+    one exists, else the defender-anchored fallback (receiver exactly
+    best-responding, sender regret minimized) that it attaches to its error.
 
     Each state keeps a table of belief intervals on which ``_WindowScan.scan``
     is proven to pick one profile, filled in as ``decide`` is called. A belief
@@ -791,10 +786,6 @@ class RecedingHorizonPolicy:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._enum = _Enumeration(scenario.alphabets, scenario.horizon)
-        al = scenario.alphabets
-        # a branch's first entry is its root label
-        self._sender_roots = [al.actions[b[0]] for b in self._enum.sender_branches]
-        self._receiver_roots = [al.reactions[b[0]] for b in self._enum.receiver_branches]
         self._regions: dict[str, _RegionTable] = {}
         self.counts = dict.fromkeys(("scans", "proofs_tried", "proofs_accepted", "uncovered"), 0)
 
@@ -814,8 +805,7 @@ class RecedingHorizonPolicy:
             raise ValueError(f"belief {pi_m!r} in state {state!r} is not in [0, 1]")
         spreads, choice, _, least, _ = table.window.scan(pi_m)
         self.counts["scans"] += 1
-        ib, im, ir = choice
-        roots = (self._sender_roots[ib], self._sender_roots[im], self._receiver_roots[ir])
+        roots = self._enum.profile(*choice).root_prescriptions()
         ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, spreads, choice, pi_m)
         if ends is None:
             self.counts["uncovered"] += 1

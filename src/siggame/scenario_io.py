@@ -54,6 +54,9 @@ TRAJECTORY_COLUMNS = (
 
 _FLOAT_FORMAT = ".12g"
 
+# the document keys of the Scenario fields that have defaults
+_DEFAULTED = {"horizon": "horizon", "steps": "episode_length", "seed": "base_seed"}
+
 
 class ScenarioFormatError(ValueError):
     """The scenario document is malformed or fails validation."""
@@ -167,9 +170,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             initial_state=_require(doc, "initial_state", "document"),
             prior=_as(float, _require(doc, "prior", "document"), "prior"),
             true_type=_require(doc, "true_type", "document"),
-            horizon=_as(int, doc.get("horizon", 2), "horizon"),
-            episode_length=_as(int, doc.get("steps", 300), "steps"),
-            base_seed=_as(int, doc.get("seed", 0), "seed"),
+            **{field: _as(int, doc[key], key) for key, field in _DEFAULTED.items() if key in doc},
         )
     except ValueError as err:
         raise ScenarioFormatError(str(err)) from err
@@ -207,26 +208,24 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "prior": scenario.prior,
         "initial_state": scenario.initial_state,
         "true_type": scenario.true_type,
-        "horizon": scenario.horizon,
-        "steps": scenario.episode_length,
-        "seed": scenario.base_seed,
+        **{key: getattr(scenario, field) for key, field in _DEFAULTED.items()},
     }
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file.
 
-    Every ScenarioFormatError starts with the path; kernel defects name the
-    offending rows. A failed action distinguishability check is only a
-    warning: downstream simulation stays well defined, only the
-    action-agreement guarantees lose their premise.
+    Every ScenarioFormatError starts with the path, a file that does not
+    decode included; kernel defects name the offending rows. A failed action
+    distinguishability check is only a warning: downstream simulation stays
+    well defined, only the action-agreement guarantees lose their premise.
     """
     path = Path(path)
     try:
         scenario = scenario_from_dict(json.loads(path.read_text()))
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    except ScenarioFormatError as err:
+    except (UnicodeDecodeError, ScenarioFormatError) as err:
         raise ScenarioFormatError(f"{path}: {err}") from err
     ok, witnesses = check_distinguishability(scenario.kernel)
     if not ok:
@@ -322,15 +321,20 @@ def read_trajectory(path: str | Path) -> Trajectory:
     disagree (the applied action then identifies it) and left None when every
     step pools. Derived columns
     must equal their derivation and numbers lie in range, or a
-    ``ValueError("<path>:<line>: ...")`` names the first offending row.
+    ``ValueError("<path>:<line>: ...")`` names the first offending row. A
+    wrong header, or a file that does not decode, is a ValueError that
+    starts with the path.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != TRAJECTORY_COLUMNS:
-            raise ValueError(f"{path}: unexpected trajectory header {header}")
-        rows = list(reader)
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            if header != TRAJECTORY_COLUMNS:
+                raise ValueError(f"{path}: unexpected trajectory header {header}")
+            rows = list(reader)
+    except UnicodeDecodeError as err:  # a ValueError without the path
+        raise ValueError(f"{path}: {err}") from err
     width = len(TRAJECTORY_COLUMNS)
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)

@@ -120,6 +120,21 @@ class TestFileErrors:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command, suffix",
+        [("validate --config", ".json"), ("diagnose --in", ".csv")],
+        ids=["config", "trajectory"],
+    )
+    def test_undecodable_file_is_named(self, command, suffix, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, but its message has no path
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main([*command.split(), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+
     def test_directory_config_never_reads_a_sibling_file(self, table1_path, tmp_path, capsys):
         # an existing path is read as given, so ``d`` never resolves to ``d.json``
         (tmp_path / "d").mkdir()

@@ -307,13 +307,14 @@ def receiver_tensor(window, spreads):
     return np.concatenate([block.copy() for _, block in window._blocks(spreads, range(nb))])
 
 
-def counting_blocks(blocks, read):
-    """``blocks``, a ``_WindowScan._blocks``, appending each block's row
-    count to ``read`` as the block is handed out."""
+def counting_blocks(blocks, read, record=len):
+    """``blocks``, a ``_WindowScan._blocks``, appending ``record`` of each
+    block's row numbers, by default their count, to ``read`` as the block is
+    handed out."""
 
     def counted(*args):
         for rows, block in blocks(*args):
-            read.append(len(rows))
+            read.append(record(rows))
             yield rows, block
 
     return counted
@@ -835,6 +836,18 @@ def _receiver_terms(window, pi):
     return (window.w_b * r_b_sum + window.w_m * r_m_sum) / window.horizon
 
 
+def _ahead_reference(window, ib, im, ir):
+    """The profiles ahead of (ib, im, ir), as a mask of the window's shape,
+    read off the whole tensor of scan keys: the larger sender gain, then the
+    flat index."""
+    nb, _, nr = window.shape
+    key = np.maximum(window.gain_b[:, None], window.gain_m).ravel()
+    c = (ib * nb + im) * nr + ir
+    ahead = key < key[c]
+    ahead[:c] |= key[:c] == key[c]
+    return ahead.reshape(window.shape)
+
+
 class TestCertifiedIntervals:
     @settings(max_examples=40, deadline=None)
     @given(random_windows(), beliefs, st.lists(st.floats(0.0, 1.0), max_size=6))
@@ -911,20 +924,41 @@ class TestCertifiedIntervals:
     @settings(max_examples=40, deadline=None)
     @given(random_windows())
     def test_ahead_follows_the_scan_key(self, drawn):
-        # reference: the profiles ahead read off the whole key tensor
+        # the mask, scattered over every row, is the reference; its rows are
+        # those that hold a profile ahead, and the choice's own
         scenario, pi, state, rng = drawn
         al = scenario.alphabets
         window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
         nb, _, nr = window.shape
-        key = np.maximum(window.gain_b[:, None], window.gain_m).ravel()
         picks = [window.scan(pi)[1]] + [
             (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(8)
         ]
         for ib, im, ir in picks:
-            c = (ib * nb + im) * nr + ir
-            ahead = key < key[c]
-            ahead[:c] |= key[:c] == key[c]
-            assert np.array_equal(window._ahead(ib, im, ir), np.flatnonzero(ahead))
+            reference = _ahead_reference(window, ib, im, ir)
+            rows, mask = window._ahead(ib, im, ir)
+            assert mask.shape == (len(rows), nb, nr)
+            held = set(np.flatnonzero(reference.any(axis=(1, 2))).tolist())
+            assert rows.tolist() == sorted(held | {ib})
+            full = np.zeros(window.shape, bool)
+            full[rows] = mask
+            assert np.array_equal(full, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_windows())
+    def test_certifier_refills_only_rows_ahead(self, drawn):
+        # the certifier fills again, in ascending order, the rows that hold a
+        # profile ahead of the choice, and the choice's own: no other row
+        scenario, pi, state, _ = drawn
+        al = scenario.alphabets
+        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        spreads, choice, _, _, _ = window.scan(pi)
+        read = []
+        refills = counting_blocks(window._blocks, read, np.ndarray.tolist)
+        with mock.patch.object(window, "_blocks", refills):
+            window.certifier(spreads, choice, pi)
+        reference = _ahead_reference(window, *choice)
+        held = set(np.flatnonzero(reference.any(axis=(1, 2))).tolist())
+        assert [row for rows in read for row in rows] == sorted(held | {choice[0]})
 
     def test_distinct_cells_with_equal_inputs_tie(self, scenario_builder):
         # two reaction sequences that differ only in x_a give bit-equal terms,

@@ -1,12 +1,12 @@
 import json
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siggame.model import BENIGN, MALICIOUS, TYPES
+from siggame.model import BENIGN, MALICIOUS, TYPES, Scenario
 from siggame.scenario_io import (
     TRAJECTORY_COLUMNS,
     ScenarioFormatError,
@@ -60,6 +60,15 @@ class TestScenarioRoundTrip:
     def test_json_round_trip_of_serialized_doc(self, table4):
         doc = scenario_to_dict(table4)
         assert scenario_from_dict(json.loads(json.dumps(doc))) == table4
+
+    def test_absent_optional_keys_take_scenario_defaults(self, table1):
+        doc = scenario_to_dict(replace(table1, horizon=3, episode_length=40, base_seed=9))
+        for key in ("horizon", "steps", "seed"):
+            del doc[key]
+        optional = ("horizon", "episode_length", "base_seed")
+        defaults = {f.name: f.default for f in fields(Scenario) if f.name in optional}
+        assert len(defaults) == 3
+        assert scenario_from_dict(doc) == replace(table1, **defaults)
 
 
 class TestScenarioErrors:
