@@ -227,25 +227,27 @@ def expected_utilities(
 
 
 class _Enumeration:
-    """Index-form tree sets plus per-path projections, reusable across solves.
+    """Index-form tree sets plus per-path projections of one window.
 
     History nodes are ordered by depth, then state order, with the root
     first. Label sequences of length ``horizon`` are numbered in
     ``itertools.product`` order. ``path_sequences`` holds two arrays,
     indexed (state path, sender branch) and (state path, receiver branch), of
-    the number of the sequence each branch plays along that path. Both
-    callers pass a Scenario's horizon, which is at least 1.
+    the number of the sequence each branch plays along that path. The horizon
+    is a Scenario's, so at least 1.
     """
 
     def __init__(self, alphabets: Alphabets, horizon: int):
-        total = joint_profile_count(alphabets, horizon)
-        if total > JOINT_PROFILE_LIMIT:
+        ns, na, nr = len(alphabets.states), len(alphabets.actions), len(alphabets.reactions)
+        # base ** n_nodes profiles; n_nodes is exact below 64 and 64+ past it
+        base, n_nodes = na * na * nr, sum(ns**d for d in range(min(horizon, 64)))
+        if base ** min(n_nodes, 64) > JOINT_PROFILE_LIMIT:
+            total = base**n_nodes if n_nodes < 64 else f"at least {base}**64"
             raise EnumerationLimitError(
                 f"{total} joint profiles exceed the exhaustive-scan limit of {JOINT_PROFILE_LIMIT}"
             )
         self.alphabets = alphabets
         self.horizon = horizon
-        ns, na, nr = len(alphabets.states), len(alphabets.actions), len(alphabets.reactions)
         self.nodes = [n for d in range(horizon) for n in itertools.product(range(ns), repeat=d)]
         self.label_nodes = [tuple(alphabets.states[i] for i in node) for node in self.nodes]
         node_pos = {node: i for i, node in enumerate(self.nodes)}
@@ -311,12 +313,13 @@ class _WindowScan:
     and a group of rung ends, and ``_cells`` reads which grid cells tie off
     the tie table, ``_differs``, built once per window.
 
-    The constructor reads the scenario's kernel rows and utility tables into
-    index arrays, ``P[x, a, r, x']`` and one (x, a, r) grid per utility table
-    and type. The walk runs on grids indexed by (state path, benign sequence,
-    malicious sequence, reaction sequence) and repeats the arithmetic of
-    ``_path_terms`` op for op, in the same order, on the same floats, so every
-    entry equals that scalar oracle's value for the same profile bit for bit.
+    The constructor builds the window's ``enum`` and reads the scenario's
+    kernel rows and utility tables into index arrays, ``P[x, a, r, x']`` and
+    one (x, a, r) grid per utility table and type. The walk runs on grids
+    indexed by (state path, benign sequence, malicious sequence, reaction
+    sequence) and repeats the arithmetic of ``_path_terms`` op for op, in the
+    same order, on the same floats, so every entry equals that scalar oracle's
+    value for the same profile bit for bit.
     The scalar walk's early return on a vanishing path needs no mask: both
     weights of a ``dead`` cell are zero, so its terms are zeros, which sums
     that start from +0 add without changing a bit. A sender value gathers,
@@ -326,8 +329,9 @@ class _WindowScan:
     from zero, as ``expected_utilities`` adds them.
     """
 
-    def __init__(self, scenario: Scenario, enum: _Enumeration, x0: int):
+    def __init__(self, scenario: Scenario, state: str):
         al = scenario.alphabets
+        enum = self.enum = _Enumeration(al, scenario.horizon)
         keys = list(itertools.product(al.states, al.actions, al.reactions))
         shape = (len(al.states), len(al.actions), len(al.reactions))
         P = np.array([scenario.kernel.row(*key) for key in keys]).reshape(*shape, -1)
@@ -342,6 +346,7 @@ class _WindowScan:
         self.sequences = enum.path_sequences
         # the state at each step of each path, shaped to broadcast over the
         # (path, benign sequence, malicious sequence, reaction sequence) grid
+        x0 = al.state_index(state)
         states = np.array([(x0, *path) for path in enum.paths])[:, :, None, None, None]
         n_a, n_r = len(al.actions) ** T, len(al.reactions) ** T
         grid = (len(enum.paths), n_a, n_a, n_r)
@@ -695,18 +700,18 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     the defender-anchored fallback profile and its least regret, which is
     positive and so certifies non-existence.
     """
-    enum = _Enumeration(scenario.alphabets, scenario.horizon)
-    window = _WindowScan(scenario, enum, scenario.alphabets.state_index(x_now))
+    window = _WindowScan(scenario, x_now)
     _, (ib, im, ir), value, least, zeros = window.scan(belief.pi_m)
+    profile = window.enum.profile(ib, im, ir)
     if least > 0.0:
         raise NoPureEquilibriumError(
             f"no pure mutual best response among {math.prod(window.shape)} joint profiles "
             f"(least sender regret {least:.6g})",
-            fallback_profile=enum.profile(ib, im, ir),
+            fallback_profile=profile,
             fallback_regret=least,
         )
     return EquilibriumResult(
-        profile=enum.profile(ib, im, ir),
+        profile=profile,
         sender_value_benign=float(window.V_b[ib, ir]),
         sender_value_malicious=float(window.V_m[im, ir]),
         receiver_value=value,
@@ -762,21 +767,21 @@ class RecedingHorizonPolicy:
     one exists, else the defender-anchored fallback (receiver exactly
     best-responding, sender regret minimized) that it attaches to its error.
 
-    Each state keeps a table of belief intervals on which ``_WindowScan.scan``
-    is proven to pick one profile, filled in as ``decide`` is called. A belief
-    inside a stored interval is answered by a bisect. Any other belief is
-    scanned: the belief-free half of the state's window is built on the
-    state's first ``decide``, and each scan re-runs only the belief walk and
-    the receiver pass. The scan then tries to prove its choice on each side
-    of the belief in turn, along a ladder of ends (see ``_certify``): first
-    up to the end of the uncovered stretch around it, then with that side's
-    reach halved, down to ``MIN_REACH``. The first rung proven on each side
-    gives that side's end, and the two sides make one stored interval. Beliefs 0
-    and 1, which Bayes' rule keeps, are stored alone after one scan, and so
-    is a belief that neither side covers, such as a region edge, while the
-    state's table holds fewer than ``MAX_INTERVALS`` intervals; past that
-    such a belief is scanned each time, so the tables stay bounded.
-    A belief outside [0, 1], or NaN, raises ValueError.
+    Each state keeps its window, built with the policy, and a table of belief
+    intervals on which ``_WindowScan.scan`` is proven to pick one profile,
+    filled in as ``decide`` is called. A belief inside a stored interval is
+    answered by a bisect. Any other belief is scanned, which re-runs only the
+    window's belief walk and receiver pass. The scan then tries to prove its
+    choice on each side of the belief in turn, along a ladder of ends (see
+    ``_certify``): first up to the end of the uncovered stretch around it,
+    then with that side's reach halved, down to ``MIN_REACH``. The first rung
+    proven on each side gives that side's end, and the two sides make one
+    stored interval. Beliefs 0 and 1, which Bayes' rule keeps, are stored
+    alone after one scan, and so is a belief that neither side covers, such as
+    a region edge, while the state's table holds fewer than ``MAX_INTERVALS``
+    intervals; past that such a belief is scanned each time, so the tables
+    stay bounded. An oversized window fails the constructor; a belief outside
+    [0, 1], or NaN, or an unknown state label raises ValueError.
 
     ``counts`` tallies scans, proofs tried and accepted, and scanned beliefs
     that no proof covered. Each stored interval is logged at DEBUG level on
@@ -784,17 +789,16 @@ class RecedingHorizonPolicy:
     """
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self._enum = _Enumeration(scenario.alphabets, scenario.horizon)
-        self._regions: dict[str, _RegionTable] = {}
+        states = scenario.alphabets.states
+        self._regions = {x: _RegionTable(_WindowScan(scenario, x)) for x in states}
         self.counts = dict.fromkeys(("scans", "proofs_tried", "proofs_accepted", "uncovered"), 0)
 
     def decide(self, pi_m: float, state: str) -> tuple[str, str, str]:
         """Root prescriptions (benign action, malicious action, reaction)."""
-        table = self._regions.get(state)
-        if table is None:
-            x0 = self.scenario.alphabets.state_index(state)
-            table = self._regions[state] = _RegionTable(_WindowScan(self.scenario, self._enum, x0))
+        try:
+            table = self._regions[state]
+        except KeyError:
+            raise ValueError(f"unknown state label {state!r}") from None
         roots = table.roots[bisect_right(table.edges, pi_m)]
         if roots is not None:
             return roots
@@ -805,7 +809,7 @@ class RecedingHorizonPolicy:
             raise ValueError(f"belief {pi_m!r} in state {state!r} is not in [0, 1]")
         spreads, choice, _, least, _ = table.window.scan(pi_m)
         self.counts["scans"] += 1
-        roots = self._enum.profile(*choice).root_prescriptions()
+        roots = table.window.enum.profile(*choice).root_prescriptions()
         ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, spreads, choice, pi_m)
         if ends is None:
             self.counts["uncovered"] += 1

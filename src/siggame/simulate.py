@@ -120,41 +120,37 @@ def run_episode(
 ) -> Trajectory:
     """Simulate one episode of ``scenario.episode_length`` steps.
 
-    A shared policy may be passed to reuse its certified belief intervals
-    across episodes; results do not depend on that reuse.
+    Steps record one row each, in ``Trajectory``'s column order. A shared
+    policy may be passed to reuse its certified belief intervals across
+    episodes; results do not depend on that reuse.
     """
     if policy is None:
         policy = RecedingHorizonPolicy(scenario)
     malicious = scenario.true_type == MALICIOUS
-    traj = Trajectory(true_type=scenario.true_type, prior=scenario.prior, seed=seed)
     states = scenario.alphabets.states
     table = scenario.kernel.table
     cuts = {key: cdf_cuts(row) for key, row in table.items()}
     uniforms = np.random.default_rng(seed).random(scenario.episode_length).tolist()
     x = scenario.initial_state
     pi = scenario.prior
+    rows = []
     for u in uniforms:
         a_b, a_m, reaction = policy.decide(pi, x)
         j = bisect_right(cuts[x, a_m if malicious else a_b, reaction], u)
         p_b = table[x, a_b, reaction][j]
         p_m = table[x, a_m, reaction][j]
         if 0.0 < pi < 1.0:
-            # The realized successor has positive probability under the
-            # applied action, so the mixture cannot vanish here.
+            # The mixture can still be MIN_MIXTURE or less (belief 1e-301, a
+            # successor only a_m reaches); the Bayes step then fails the episode.
             f = coefficient_value(pi, p_b, p_m, malicious)
             pi_next = posterior_malicious(pi, p_b, p_m)
         else:
             f = 1.0
             pi_next = pi
-        traj.states.append(x)
-        traj.actions_benign.append(a_b)
-        traj.actions_malicious.append(a_m)
-        traj.reactions.append(reaction)
-        traj.beliefs.append(pi_next)
-        traj.coefficients.append(f)
+        rows.append((x, a_b, a_m, reaction, pi_next, f))
         x = states[j]
         pi = pi_next
-    return traj
+    return Trajectory(scenario.true_type, scenario.prior, seed, *map(list, zip(*rows)))
 
 
 def _run_chunk(

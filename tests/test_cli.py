@@ -285,6 +285,67 @@ class TestBatchAndDiagnoseCommands:
         assert captured.err.splitlines() == [f"error: window must be >= 1, got {window}"]
 
 
+def _with_horizon(name, horizon, directory):
+    """Path of a copy of bundled scenario ``name`` at ``horizon``."""
+    doc = json.loads(resolve_config_path(name).read_text())
+    doc["horizon"] = horizon
+    path = directory / f"{name}_horizon{horizon}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _tree_bytes(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in sorted(directory.rglob("*"))}
+
+
+class TestHorizonThreeCommands:
+    """Windows of 2097152 joint profiles through the console entry point."""
+
+    def test_exact_solve(self, tmp_path, capsys):
+        config = _with_horizon("table1", 3, tmp_path)
+        assert main(["equilibrium", "--config", config, "--belief", "0.7", "--state", "x_n"]) == 0
+        assert "equilibria found: 2048 (tie broken: True)" in capsys.readouterr().out.splitlines()
+
+    def test_fallback(self, tmp_path, capsys):
+        config = _with_horizon("table1", 3, tmp_path)
+        assert main(["equilibrium", "--config", config, "--belief", "0.36", "--state", "x_n"]) == 1
+        assert "2097152 joint profiles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["table1", "table4"])
+    def test_one_and_two_workers_write_the_same_bytes(self, name, tmp_path, capsys):
+        # table4's proofs check hundreds of thousands of close profiles in chunks
+        config = _with_horizon(name, 3, tmp_path)
+        args = ["batch", "--config", config, "--episodes", "2", "--steps", "30"]
+        for workers in ("1", "2"):
+            assert main([*args, "--workers", workers, "--outdir", str(tmp_path / workers)]) == 0
+        one = _tree_bytes(tmp_path / "1")
+        assert len(one) == 3 and one == _tree_bytes(tmp_path / "2")
+
+
+class TestOversizedWindow:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["equilibrium", "--belief", "0.1", "--state", "x_n"],
+            ["simulate", "--steps", "5"],
+            ["batch", "--episodes", "2", "--steps", "30", "--outdir", "{outdir}"],
+        ],
+        ids=["equilibrium", "simulate", "batch"],
+    )
+    def test_one_error_line_names_the_limit(self, command, tmp_path, capsys):
+        # a horizon-13 window's count has more digits than Python formats by default
+        config = _with_horizon("table1", 13, tmp_path)
+        outdir = tmp_path / "out"
+        argv = [command[0], "--config", config, *command[1:]]
+        assert main([arg.format(outdir=outdir) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert "joint profiles exceed the exhaustive-scan limit of 10000000" in line
+        assert not outdir.exists()
+
+
 class TestAppendixACommand:
     def test_prints_closed_form_value(self, capsys):
         assert main(["appendix-a", "--p", "0.25", "--k", "1", "--prior", "0.1"]) == 0

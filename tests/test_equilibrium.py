@@ -72,6 +72,27 @@ class TestEnumeration:
         with pytest.raises(EnumerationLimitError, match="exceed"):
             _Enumeration(al, 12)
 
+    @pytest.mark.parametrize("horizon", [13, 20, 10**9])
+    def test_oversized_window_refused_from_its_node_count(self, horizon):
+        # from horizon 13 on the count has more digits than Python formats
+        # by default; the guard builds and prints it only below 64 nodes
+        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
+        with pytest.raises(
+            EnumerationLimitError,
+            match=r"^at least 8\*\*64 joint profiles exceed the exhaustive-scan limit of 10000000$",
+        ):
+            _Enumeration(al, horizon)
+
+    def test_exact_count_printed_below_64_nodes(self):
+        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
+        with pytest.raises(EnumerationLimitError, match=f"^{8**15} joint profiles exceed"):
+            _Enumeration(al, 4)
+
+    def test_single_labels_are_never_refused(self):
+        # one joint profile however deep the window
+        enum = _Enumeration(Alphabets(states=("x",), actions=("a",), reactions=("r",)), 70)
+        assert len(enum.sender_branches) == len(enum.receiver_branches) == 1
+
 
 class TestExpectedUtilities:
     def test_benign_single_step_value(self, table1):
@@ -327,10 +348,8 @@ class TestValueMatricesAgainstOracle:
     @given(random_windows(), beliefs)
     def test_entries_equal_oracle(self, drawn, other_pi):
         scenario, pi, state, rng = drawn
-        al = scenario.alphabets
-        enum = _Enumeration(al, scenario.horizon)
-        x0 = al.state_index(state)
-        window = _WindowScan(scenario, enum, x0)
+        window = _WindowScan(scenario, state)
+        enum = window.enum
         nb, nr = window.V_b.shape
         picks = [(0, 0, 0), (nb - 1, nb - 1, nr - 1)] + [
             (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(12)
@@ -349,7 +368,7 @@ class TestValueMatricesAgainstOracle:
         # the reused object has scanned two beliefs; a fresh one agrees at the
         # second in the receiver tensor's bits, the choice, its receiver value,
         # its regret and the zero count
-        fresh_window = _WindowScan(scenario, enum, x0)
+        fresh_window = _WindowScan(scenario, state)
         fresh = fresh_window.scan(other_pi)
         reused = window.scan(other_pi)
         assert (
@@ -399,8 +418,7 @@ class TestRegretStep:
         # regret and zero regrets come in numbers; blocks of one row make the
         # scan's stop and its tie rule between blocks act at every row
         scenario, pi, state, _ = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         with mock.patch.object(equilibrium, "_BLOCK_BYTES", block_bytes):
             self.assert_scan_matches_definition(window, pi)
 
@@ -409,7 +427,7 @@ class TestRegretStep:
         # the least regret, 1/6, lies in row 0 alone, which is read last
         al = labelled_alphabets(2, 2, 2)
         scenario = random_scenario(al, 2, np.random.default_rng(177), integer=True)
-        window = _WindowScan(scenario, _Enumeration(al, 2), 0)
+        window = _WindowScan(scenario, "x0")
         assert window.row_order[-1] == 0
         read = []
         with mock.patch.object(equilibrium, "_BLOCK_BYTES", 8):  # one row per block
@@ -426,7 +444,7 @@ class TestRegretStep:
         # same block or in blocks of their own
         al = labelled_alphabets(2, 2, 2)
         scenario = random_scenario(al, 2, np.random.default_rng(16), integer=True)
-        window = _WindowScan(scenario, _Enumeration(al, 2), 0)
+        window = _WindowScan(scenario, "x0")
         assert window.row_bounds[[0, 1, 3]].tolist() == [0.75, 0.0, 0.0]
         with mock.patch.object(equilibrium, "_BLOCK_BYTES", block_bytes):
             choice, least, _ = self.assert_scan_matches_definition(window, 0.5)
@@ -476,12 +494,12 @@ class TestRegretStep:
             _with_horizon(table1, 3),
             utilities=type(table1.utilities)(sender=table1.utilities.sender, receiver=flat),
         )
-        window = _WindowScan(scenario, _Enumeration(scenario.alphabets, 3), 0)
+        window = _WindowScan(scenario, "x_n")
         assert not receiver_tensor(window, window.scan(0.3)[0]).any()
         self.assert_scan_matches_definition(window, 0.3)
 
     def test_equilibrium_multiplicity(self, table1):
-        window = _WindowScan(table1, _Enumeration(table1.alphabets, table1.horizon), 0)
+        window = _WindowScan(table1, "x_n")
         assert self.assert_scan_matches_definition(window, 0.1)[2] == 16
 
     @staticmethod
@@ -502,14 +520,18 @@ class TestRegretStep:
         assert peak < receiver_bytes / 2
 
     def test_horizon_three_decide_memory(self, table4):
-        # a fresh window, a scan and its proofs; the proofs check hundreds of
-        # thousands of close profiles, a chunk at a time
+        # a fresh policy, which builds every state's window, a scan and its
+        # proofs; the proofs check hundreds of thousands of close profiles, a
+        # chunk at a time
         scenario = _with_horizon(table4, 3)
         receiver_bytes = 8 * joint_profile_count(scenario.alphabets, 3)
-        policy = RecedingHorizonPolicy(scenario)
-        peak = self.traced_peak(lambda: policy.decide(0.36, "x_n"))
-        assert policy.counts["scans"] == 1
-        assert peak < 2 * receiver_bytes
+
+        def build_and_decide():
+            policy = RecedingHorizonPolicy(scenario)
+            policy.decide(0.36, "x_n")
+            assert policy.counts["scans"] == 1
+
+        assert self.traced_peak(build_and_decide) < 2 * receiver_bytes
 
 
 class TestBruteForceCrossCheck:
@@ -706,6 +728,21 @@ class TestRecedingHorizonPolicy:
             0.2000000000000002, "x_n"
         )
 
+    def test_unknown_state_label_raises(self, table1):
+        policy = RecedingHorizonPolicy(table1)
+        with pytest.raises(ValueError, match="^unknown state label 'x_q'$"):
+            policy.decide(0.1, "x_q")
+        assert policy.counts["scans"] == 0
+
+    def test_oversized_window_refused_by_the_constructor(self, table1):
+        with pytest.raises(EnumerationLimitError, match="exceed the exhaustive-scan limit"):
+            RecedingHorizonPolicy(_with_horizon(table1, 13))
+
+    def test_every_state_has_a_window_from_the_start(self, table1):
+        policy = RecedingHorizonPolicy(table1)
+        assert list(policy._regions) == list(table1.alphabets.states)
+        assert all(table.edges == [] for table in policy._regions.values())
+
     @pytest.mark.parametrize("pi", [math.nan, 1.5, -0.25, math.inf])
     def test_belief_outside_unit_interval_raises(self, table1, pi):
         policy = RecedingHorizonPolicy(table1)
@@ -748,16 +785,13 @@ def _reaction_indifferent(build, horizon=2):
 def _fresh_scan_roots(scenario):
     """Root labels of ``_WindowScan.scan`` on windows built apart from any
     policy, one per state."""
-    al = scenario.alphabets
-    enum = _Enumeration(al, scenario.horizon)
     windows = {}
 
     def roots(pi, state):
         if state not in windows:
-            windows[state] = _WindowScan(scenario, enum, al.state_index(state))
-        _, (ib, im, ir), _, _, _ = windows[state].scan(pi)
-        b, m, r = enum.sender_branches[ib], enum.sender_branches[im], enum.receiver_branches[ir]
-        return al.actions[b[0]], al.actions[m[0]], al.reactions[r[0]]
+            windows[state] = _WindowScan(scenario, state)
+        _, choice, _, _, _ = windows[state].scan(pi)
+        return windows[state].enum.profile(*choice).root_prescriptions()
 
     return roots
 
@@ -853,8 +887,7 @@ class TestCertifiedIntervals:
     @given(random_windows(), beliefs, st.lists(st.floats(0.0, 1.0), max_size=6))
     def test_term_bounds_bracket_scan_terms(self, drawn, other_pi, fractions):
         scenario, pi, state, _ = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         ends = _ladder(pi, other_pi, 6)
         lower, upper, switches = window._term_bounds(pi, ends)
         # the proofs need the bounds good to within their margin
@@ -874,8 +907,7 @@ class TestCertifiedIntervals:
         # one walk from pi and many ends, on both sides of it, gives each end
         # the bytes of a walk from pi and that end alone, or no claim for both
         scenario, pi, state, _ = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         lower, upper, switches = window._term_bounds(pi, ends)
         assert lower.shape == upper.shape == (len(ends), *window.dead.shape)
         for end, rung_lower, rung_upper, switch in zip(ends, lower, upper, switches):
@@ -892,8 +924,7 @@ class TestCertifiedIntervals:
         # the certifier proves a ladder a group of rungs at a time; the rung
         # it takes is the first that a ladder of that rung alone proves
         scenario, pi, state, _ = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         spreads, choice, _, _, _ = window.scan(pi)
         first_proven = window.certifier(spreads, choice, pi)
         if first_proven is None:
@@ -908,8 +939,7 @@ class TestCertifiedIntervals:
         # ``_cells`` calls two cells tied when their inputs are equal or both
         # are dead; the certifier then adds exactly 0, which holds at any belief
         scenario, pi, state, rng = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         nb, _, nr = window.shape
         window.scan(pi)
         assert "_differs" not in vars(window)  # a scan builds no tie table
@@ -927,8 +957,7 @@ class TestCertifiedIntervals:
         # the mask, scattered over every row, is the reference; its rows are
         # those that hold a profile ahead, and the choice's own
         scenario, pi, state, rng = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         nb, _, nr = window.shape
         picks = [window.scan(pi)[1]] + [
             (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(8)
@@ -949,8 +978,7 @@ class TestCertifiedIntervals:
         # the certifier fills again, in ascending order, the rows that hold a
         # profile ahead of the choice, and the choice's own: no other row
         scenario, pi, state, _ = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         spreads, choice, _, _, _ = window.scan(pi)
         read = []
         refills = counting_blocks(window._blocks, read, np.ndarray.tolist)
@@ -964,8 +992,7 @@ class TestCertifiedIntervals:
         # two reaction sequences that differ only in x_a give bit-equal terms,
         # and ``_cells`` reports no difference for them
         scenario = _reaction_indifferent(scenario_builder)
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index("x_n"))
+        window = _WindowScan(scenario, "x_n")
         nb, _, nr = window.shape
         ib, im, r_x, r_y = (a.ravel() for a in np.indices((nb, nb, nr, nr)))
         x, y, differ = window._cells(ib, im, r_x, r_y)
@@ -980,8 +1007,7 @@ class TestCertifiedIntervals:
     def test_walk_keeps_beliefs_zero_and_one(self, drawn):
         # Bayes' rule returns both ends exactly, so the walk needs no mask for them
         scenario, _, state, _ = drawn
-        al = scenario.alphabets
-        window = _WindowScan(scenario, _Enumeration(al, scenario.horizon), al.state_index(state))
+        window = _WindowScan(scenario, state)
         for _, _, beta, _ in window._walk(np.array([0.0, 1.0])[:, None, None, None, None]):
             zero, one = np.broadcast_to(beta, (2, *window.dead.shape))
             assert np.all(zero == 0.0) and not np.signbit(zero).any()

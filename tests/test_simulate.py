@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import build_binary_scenario, labelled_alphabets, random_scenario
 from siggame import simulate
 from siggame.beliefs import coefficient_value, posterior_malicious
-from siggame.equilibrium import RecedingHorizonPolicy
+from siggame.equilibrium import EnumerationLimitError, RecedingHorizonPolicy
 from siggame.model import BENIGN, MALICIOUS, TransitionKernel, sample_transition
 from siggame.simulate import Trajectory, derive_episode_seed, run_batch, run_episode
 
@@ -391,6 +391,39 @@ class TestRunBatch:
         assert trajectories[1] is None and summary.terminal_beliefs[1] is None
         assert all(len(trajectories[i]) == 40 for i in (0, 2))
         assert summary.terminal_beliefs[2] == trajectories[2].beliefs[-1]
+
+    def test_oversized_window_fails_the_batch(self, table1, monkeypatch):
+        # the policy refuses the window when it is built, so the batch raises
+        # before any episode instead of recording one error per episode
+        def no_episodes(*args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(simulate, "run_episode", no_episodes)
+        with pytest.raises(EnumerationLimitError, match="exceed the exhaustive-scan limit"):
+            run_batch(replace(table1, horizon=13), 3, base_seed=1)
+
+    def test_vanishing_mixture_fails_its_episodes(self):
+        # a_b never reaches x_a and a_m reaches it half the time; at a belief
+        # of 1e-301 or below the mixture of reaching it, 0.5 times the belief,
+        # is below MIN_MIXTURE, so the Bayes step raises on the successor the
+        # malicious sender's own action drew, and each episode is an error
+        leads_to = {"a_b": (1.0, 0.0), "a_m": (0.5, 0.5)}
+        rows = {(x, a): row for x in ("x_n", "x_a") for a, row in leads_to.items()}
+        scenario = build_binary_scenario(
+            rows,
+            lambda t, x, a, r: float(a == ("a_m" if t == MALICIOUS else "a_b")),
+            lambda t, x, a, r: 0.0,
+            prior=1e-301,
+            episode_length=60,
+        )
+        summary, trajectories = run_batch(scenario, 3, base_seed=5)
+        assert trajectories == [None] * 3
+        assert summary.classifications["ERROR"] == 3
+        assert [index for index, _ in summary.errors] == [0, 1, 2]
+        for _, err in summary.errors:
+            assert re.fullmatch(
+                r"observation impossible under belief \S+ with likelihoods \(0\.0, 0\.5\)", err
+            )
 
 
 class TestAgreementAbsorption:
