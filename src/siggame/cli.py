@@ -21,6 +21,7 @@ from .diagnostics import (
 from .equilibrium import NoPureEquilibriumError, solve_bne
 from .model import check_distinguishability
 from .scenario_io import (
+    check_outdir,
     format_trajectory,
     load_scenario,
     read_trajectory,
@@ -151,6 +152,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    check_outdir(args.outdir)  # before any episode runs
     scenario = _with_overrides(_load(args.config), args.steps)
     seed = scenario.base_seed if args.seed is None else args.seed
     summary, trajectories = run_batch(

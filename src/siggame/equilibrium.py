@@ -36,14 +36,14 @@ both add the same terms in the same order, so they agree bit for bit.
 The receding-horizon policy scans only where it has not proven the answer.
 The scan's choice is the first profile, in a belief-free order by regret and
 then flat index, whose receiver branch is a best response, and the belief
-moves the receiver values only. Bayes' rule is monotone in the belief, so the
-scan's own belief walk, run from the scanned belief and from an interval's
-other end, bounds every receiver term over the interval. From those bounds,
-path by path, ``_WindowScan.certifier`` proves that the choice stays a best
-response and that no profile ahead of it becomes one. It tries a ladder of
-ever shorter intervals on each side, several rungs to one walk. Each state
-keeps the intervals proven so far, and a belief inside one is answered by a
-bisect.
+moves the receiver values only. The guarded Bayes step is monotone in the
+belief, so the scan's own belief walk, run from the scanned belief and from
+an interval's other end, bounds every receiver term over the interval. From
+those bounds, path by path, ``_WindowScan.certifier`` proves that the choice
+stays a best response and that no profile ahead of it becomes one. It tries a
+ladder of ever shorter intervals on each side, several rungs to one walk.
+Each state keeps the intervals proven so far, and a belief inside one is
+answered by a bisect.
 
 Tie-breaking is lexicographic in enumeration order: trees are enumerated by
 assigning labels (in alphabet order) to nodes ordered by depth then state
@@ -390,24 +390,21 @@ class _WindowScan:
     def _walk(self, beta):
         """Run the belief walk from ``beta``, a float or an array that
         broadcasts against the grid. Yields, per step, the receiver-utility
-        grids, each cell's belief and, before a Bayes step, the moving cells
-        and each cell's mixture (None after the last step).
+        grids and each cell's belief.
 
         Bayes' rule moves a cell's belief only where the two likelihoods
-        differ and the mixture exceeds ``MIN_MIXTURE``. ``_path_terms`` also
-        holds the beliefs 0 and 1 fixed, but the update already returns both
-        exactly: ``p_m * 0 / p_b`` is 0 and ``p_m * 1 / p_m`` is 1.
+        differ and the mixture exceeds ``MIN_MIXTURE``; this guarded step is
+        nondecreasing in the belief (see ``_term_bounds``). ``_path_terms``
+        also holds the beliefs 0 and 1 fixed, but the update already returns
+        both exactly: ``p_m * 0 / p_b`` is 0 and ``p_m * 1 / p_m`` is 1.
         """
         for g_b, g_m, bayes in self.steps:
-            if bayes is None:
-                yield g_b, g_m, beta, None
-                continue
-            p_b, p_m, moves = bayes
-            denom = p_b * (1.0 - beta) + p_m * beta
-            yield g_b, g_m, beta, (moves, denom)
-            step = moves & (denom > MIN_MIXTURE)
-            with np.errstate(all="ignore"):
-                beta = np.where(step, p_m * beta / denom, beta)
+            yield g_b, g_m, beta
+            if bayes is not None:
+                p_b, p_m, moves = bayes
+                denom = p_b * (1.0 - beta) + p_m * beta
+                with np.errstate(all="ignore"):
+                    beta = np.where(moves & (denom > MIN_MIXTURE), p_m * beta / denom, beta)
 
     def _blocks(self, spreads, rows):
         """Fill the receiver values of the benign rows ``rows``, in the order
@@ -463,7 +460,7 @@ class _WindowScan:
         regret is 0, so the zero count is exact.
         """
         r_b_sum = r_m_sum = 0.0
-        for g_b, g_m, beta, _ in self._walk(pi):
+        for g_b, g_m, beta in self._walk(pi):
             r_b_sum = r_b_sum + g_b * (1.0 - beta)
             r_m_sum = r_m_sum + g_m * beta
         t_r = (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon
@@ -503,6 +500,10 @@ class _WindowScan:
         rounding of the value sums. The float walk can also move a belief by
         its rounding times the largest likelihood ratio per Bayes step, so
         the margin grows by that ratio to the power of the step count.
+
+        Infinite, so that no bound proves anything, where a moving cell's
+        smaller likelihood is positive and at most 2 * ``MIN_MIXTURE``: the
+        walk is then not monotone (see ``_term_bounds``). No belief is read.
         """
         scale = max(float(np.abs(g).max()) for g_b, g_m, _ in self.steps for g in (g_b, g_m))
         ratio = 1.0
@@ -511,6 +512,8 @@ class _WindowScan:
             both = moves & (p_b > 0.0) & (p_m > 0.0)
             if both.any():
                 big, small = np.maximum(p_b, p_m)[both], np.minimum(p_b, p_m)[both]
+                if small.min() <= 2.0 * MIN_MIXTURE:
+                    return math.inf
                 ratio = max(ratio, float((big / small).max()))
         return 1e-9 * scale * len(self.dead) * ratio ** (self.horizon - 1)
 
@@ -519,36 +522,30 @@ class _WindowScan:
         ``pi`` and each of ``ends``, one rung of a ladder each.
 
         Runs one ``_walk`` from ``pi`` and every end, stacked on a leading
-        axis. Bayes' rule is nondecreasing in the belief, so while the mixture
-        guard cannot switch, each cell's belief at each step stays between the
-        walk from ``pi`` and the walk from an end, and each step's term is
-        linear in it; the elementwise min and max of the two rows' terms bound
-        it. Every row is walked on its own floats, so each end gets the bytes
-        that a walk of ``pi`` and that end alone would give.
+        axis. A Bayes step maps a moving cell's belief b to ``p_m * b /
+        denom`` if ``denom = p_b * (1 - b) + p_m * b`` exceeds ``MIN_MIXTURE``
+        and keeps b otherwise, both nondecreasing up to the rounding that
+        ``_margin`` absorbs. If p_m > p_b, the posterior is above b and denom
+        rises with b; if p_m < p_b, the posterior is below b and denom falls.
+        Either way the map jumps up where the guard starts or stops holding.
+        A zero likelihood leaves denom the float ``p_m * b`` or ``p_b * (1 -
+        b)``, monotone in b, and the posterior exactly 1 or 0; likelihoods
+        above 2 * ``MIN_MIXTURE`` never trip the guard; a smaller positive
+        one makes ``_margin`` infinite. So each cell's belief at each step
+        lies between the walks from ``pi`` and from an end, and the step's
+        term, linear in it, between the two rows' terms. Every row is walked
+        on its own floats, so each end gets the bytes that a walk of ``pi``
+        and that end alone would give.
 
-        Returns (lower, upper, switches): the bounds, shaped (end, *grid), and
-        per end whether a moving cell that is not dead has a mixture within
-        2 * ``MIN_MIXTURE`` at ``pi`` or at that end, as the guard could then
-        switch between them and that end's bounds prove nothing.
-        Elsewhere the guard cannot: a moving cell's mixture stays above
-        ``MIN_MIXTURE`` between the ends, Bayes' rule returns a belief of 0
-        or 1 unchanged, and a dead cell's term is 0 whatever its belief, as
-        both its weights are.
+        Returns (lower, upper): the bounds, shaped (end, *grid).
         """
         w_b, w_m = self.w_b, self.w_m
         lower = upper = 0.0
-        switches = np.zeros(len(ends), bool)
-        for g_b, g_m, beta, bayes in self._walk(np.array([pi, *ends])[:, None, None, None, None]):
+        for g_b, g_m, beta in self._walk(np.array([pi, *ends])[:, None, None, None, None]):
             term = w_b * (g_b * (1.0 - beta)) + w_m * (g_m * beta)
             lower = lower + np.minimum(term[:1], term[1:])
             upper = upper + np.maximum(term[:1], term[1:])
-            if bayes is not None:
-                moves, denom = bayes
-                near = denom <= 2.0 * MIN_MIXTURE
-                if near.any():  # rare: it takes a zero likelihood
-                    near = (near & moves & ~self.dead).reshape(len(near), -1).any(axis=1)
-                    switches = switches | near[0] | near[1:]
-        return lower / self.horizon, upper / self.horizon, switches
+        return lower / self.horizon, upper / self.horizon
 
     @cached_property
     def _differs(self):
@@ -617,8 +614,10 @@ class _WindowScan:
 
         Each value difference is bounded path by path from ``_term_bounds``,
         and a path on which both profiles land in cells with equal inputs,
-        or in two dead cells, adds exactly 0 (see ``_cells``). A rung holds
-        if its bounds prove, with ``_margin`` to spare:
+        or in two dead cells, adds exactly 0 (see ``_cells``). The bounds
+        hold as the guarded Bayes step is nondecreasing in the belief; in the
+        one window kind where it may not be, ``_margin`` is infinite. A rung
+        holds if its bounds prove, with ``_margin`` to spare:
 
         (a) ``choice`` stays a receiver best response: against its sender
             pair every other receiver branch is worth less, or the same on
@@ -650,8 +649,7 @@ class _WindowScan:
         rival_cells = self._cells([ib], [im], rivals, [ir])
         rival_ties = ~rival_cells[2].any(axis=0)
         margin = self._margin
-        near_tie = ~rival_ties & (choice_gaps <= margin)
-        if near_tie.any() or np.any(gaps <= margin):
+        if np.any(~rival_ties & (choice_gaps <= margin)) or np.any(gaps <= margin):
             return None  # then no interval around the scanned belief is provable
         flat = np.flatnonzero(ahead)  # each gap's profile, flat within ``ahead``
         n_paths = len(self.dead)
@@ -675,11 +673,11 @@ class _WindowScan:
 
         def first_proven(ends: list[float]) -> int | None:
             for g in range(0, len(ends), _RUNGS_PER_WALK):
-                t_lo, t_hi, switches = self._term_bounds(pi, ends[g : g + _RUNGS_PER_WALK])
-                t_lo, t_hi = (t.reshape(len(switches), -1) for t in (t_lo, t_hi))
+                group = ends[g : g + _RUNGS_PER_WALK]
+                t_lo, t_hi = (t.reshape(len(group), -1) for t in self._term_bounds(pi, group))
                 best_kept = np.all(rival_ties | (upper(t_lo, t_hi, rival_cells) <= -margin), axis=1)
-                drift = (t_hi - t_lo).reshape(len(switches), n_paths, -1).max(axis=2).sum(axis=1)
-                for j in np.flatnonzero(best_kept & ~switches).tolist():
+                drift = (t_hi - t_lo).reshape(len(group), n_paths, -1).max(axis=2).sum(axis=1)
+                for j in np.flatnonzero(best_kept).tolist():
                     if holds(t_lo[j], t_hi[j], float(drift[j])):
                         return g + j
             return None
@@ -772,16 +770,15 @@ class RecedingHorizonPolicy:
     filled in as ``decide`` is called. A belief inside a stored interval is
     answered by a bisect. Any other belief is scanned, which re-runs only the
     window's belief walk and receiver pass. The scan then tries to prove its
-    choice on each side of the belief in turn, along a ladder of ends (see
-    ``_certify``): first up to the end of the uncovered stretch around it,
-    then with that side's reach halved, down to ``MIN_REACH``. The first rung
-    proven on each side gives that side's end, and the two sides make one
-    stored interval. Beliefs 0 and 1, which Bayes' rule keeps, are stored
-    alone after one scan, and so is a belief that neither side covers, such as
-    a region edge, while the state's table holds fewer than ``MAX_INTERVALS``
-    intervals; past that such a belief is scanned each time, so the tables
-    stay bounded. An oversized window fails the constructor; a belief outside
-    [0, 1], or NaN, or an unknown state label raises ValueError.
+    choice on each side of the belief along a ladder of ends (see
+    ``_certify``); the first rung proven on each side gives that side's end,
+    and the two sides make one stored interval. Beliefs 0 and 1, which
+    Bayes' rule keeps, are stored alone after one scan, and so is a belief
+    that neither side covers, such as a region edge, while the state's table
+    holds fewer than ``MAX_INTERVALS`` intervals; past that such a belief is
+    scanned each time, so the tables stay bounded. An oversized window fails
+    the constructor; a belief outside [0, 1], or NaN, or an unknown state
+    label raises ValueError.
 
     ``counts`` tallies scans, proofs tried and accepted, and scanned beliefs
     that no proof covered. Each stored interval is logged at DEBUG level on

@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict
 from importlib import resources
@@ -370,11 +371,29 @@ def read_trajectory(path: str | Path) -> Trajectory:
     return traj
 
 
+def check_outdir(outdir: str | Path) -> None:
+    """Refuse a batch directory that already holds a batch's files.
+
+    Raises ValueError naming the directory and one such file, a
+    ``summary.json`` or an ``episode_*.csv``, as a new batch would leave the
+    old files beside its own. A missing directory costs one failed open.
+    """
+    try:
+        names = sorted(os.listdir(outdir))
+    except FileNotFoundError:
+        return
+    for name in names:
+        if name == "summary.json" or (name.startswith("episode_") and name.endswith(".csv")):
+            raise ValueError(f"{outdir}: already holds {name}; write the batch to a new directory")
+
+
 def write_batch(
     summary: BatchSummary, trajectories: list[Trajectory | None], outdir: str | Path
 ) -> list[Path]:
     """Write episode_NNNN.csv per trajectory plus summary.json; returns the
-    paths written."""
+    paths written. A directory that holds an earlier batch is refused (see
+    ``check_outdir``) before anything is written."""
+    check_outdir(outdir)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -216,6 +216,25 @@ class TestBatchAndDiagnoseCommands:
             tally[report["classification"]] += 1
         assert tally == summary["classifications"]
 
+    def test_batch_into_an_earlier_batch_is_refused(
+        self, table1_path, tmp_path, capsys, monkeypatch
+    ):
+        # a 2-episode batch into the directory of a 4-episode one would leave
+        # four CSVs beside a summary of two; it fails before any episode runs
+        outdir = tmp_path / "batch"
+        args = ["batch", "--config", table1_path, "--steps", "30", "--outdir", str(outdir)]
+        assert main([*args, "--episodes", "4"]) == 0
+        capsys.readouterr()
+        before = _tree_bytes(outdir)
+        monkeypatch.setattr("siggame.cli.run_batch", None)  # no episode may run
+        assert main([*args, "--episodes", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {outdir}: already holds episode_0000.csv; write the batch to a new directory"
+        ]
+        assert _tree_bytes(outdir) == before
+
     def test_batch_window_below_one_writes_nothing(self, table1_path, tmp_path, capsys):
         outdir = tmp_path / "batch"
         args = ["batch", "--config", table1_path, "--episodes", "2", "--outdir", str(outdir)]
@@ -299,7 +318,8 @@ def _tree_bytes(directory):
 
 
 class TestHorizonThreeCommands:
-    """Windows of 2097152 joint profiles through the console entry point."""
+    """Windows of 2097152 joint profiles through the console entry point,
+    and the horizon-2 worker parity beside them."""
 
     def test_exact_solve(self, tmp_path, capsys):
         config = _with_horizon("table1", 3, tmp_path)
@@ -311,15 +331,22 @@ class TestHorizonThreeCommands:
         assert main(["equilibrium", "--config", config, "--belief", "0.36", "--state", "x_n"]) == 1
         assert "2097152 joint profiles" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["table1", "table4"])
-    def test_one_and_two_workers_write_the_same_bytes(self, name, tmp_path, capsys):
-        # table4's proofs check hundreds of thousands of close profiles in chunks
-        config = _with_horizon(name, 3, tmp_path)
-        args = ["batch", "--config", config, "--episodes", "2", "--steps", "30"]
+    @pytest.mark.parametrize(
+        "name, horizon, episodes, steps",
+        [("table1", 3, 2, 30), ("table4", 3, 2, 30), ("table1", 2, 5, 40)],
+        ids=["table1", "table4", "table1-horizon2"],
+    )
+    def test_one_and_two_workers_write_the_same_bytes(
+        self, name, horizon, episodes, steps, tmp_path, capsys
+    ):
+        # table4's proofs check hundreds of thousands of close profiles in
+        # chunks; the horizon-2 batch is the bundled default's
+        config = _with_horizon(name, horizon, tmp_path)
+        args = ["batch", "--config", config, "--episodes", str(episodes), "--steps", str(steps)]
         for workers in ("1", "2"):
             assert main([*args, "--workers", workers, "--outdir", str(tmp_path / workers)]) == 0
         one = _tree_bytes(tmp_path / "1")
-        assert len(one) == 3 and one == _tree_bytes(tmp_path / "2")
+        assert len(one) == episodes + 1 and one == _tree_bytes(tmp_path / "2")
 
 
 class TestOversizedWindow:

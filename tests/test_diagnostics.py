@@ -95,6 +95,11 @@ class TestSubmartingaleMargin:
                 for belief in [i / 10 for i in range(1, 10)]:
                     assert submartingale_margin(table1, roots, state, belief) >= -1e-12
 
+    def test_unknown_action_names_the_missing_kernel_row(self, table1):
+        message = re.escape("kernel has no row for (x='x_n', a='a_x', r='r_b')")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            submartingale_margin(table1, ("a_b", "a_x", "r_b"), "x_n", 0.3)
+
     @pytest.mark.parametrize("belief", [math.nan, 1.5, -0.2, math.inf])
     def test_belief_outside_unit_interval_raises(self, table1, belief):
         message = re.escape(f"belief {belief!r} in state 'x_n' is not in [0, 1]")

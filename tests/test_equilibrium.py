@@ -149,6 +149,18 @@ class TestExpectedUtilities:
         with pytest.raises(ValueError, match="depth"):
             expected_utilities(table1, one_step_profile("a_b", "a_m", "r_b"), BeliefState(0.1), "x_n")
 
+    def test_missing_node_named(self, table1):
+        # a depth-2 profile without the node ("x_a",): the oracle names it
+        # when the path through x_a reaches it
+        nodes = [(), ("x_n",)]
+        profile = StrategyTree(
+            depth=2,
+            sender={BENIGN: dict.fromkeys(nodes, "a_b"), MALICIOUS: dict.fromkeys(nodes, "a_m")},
+            receiver=dict.fromkeys(nodes, "r_b"),
+        )
+        with pytest.raises(ValueError, match=r"^profile has no prescription at node \('x_a',\)$"):
+            expected_utilities(_with_horizon(table1, 2), profile, BeliefState(0.1), "x_n")
+
     @pytest.mark.parametrize(
         "x_now, leaf, message",
         [
@@ -864,7 +876,7 @@ def _receiver_terms(window, pi):
     """Each grid cell's receiver term at belief ``pi``, summed over
     ``_walk`` as ``_WindowScan.scan`` sums it."""
     r_b_sum = r_m_sum = 0.0
-    for g_b, g_m, beta, _ in window._walk(pi):
+    for g_b, g_m, beta in window._walk(pi):
         r_b_sum = r_b_sum + g_b * (1.0 - beta)
         r_m_sum = r_m_sum + g_m * beta
     return (window.w_b * r_b_sum + window.w_m * r_m_sum) / window.horizon
@@ -889,12 +901,11 @@ class TestCertifiedIntervals:
         scenario, pi, state, _ = drawn
         window = _WindowScan(scenario, state)
         ends = _ladder(pi, other_pi, 6)
-        lower, upper, switches = window._term_bounds(pi, ends)
-        # the proofs need the bounds good to within their margin
+        lower, upper = window._term_bounds(pi, ends)
+        # the proofs need the bounds good to within their margin, on every
+        # rung: the guarded Bayes step is monotone also at a zero likelihood
         margin = window._margin
-        for end, rung_lower, rung_upper, switch in zip(ends, lower, upper, switches):
-            if switch:
-                continue  # a live, moving cell's mixture is near MIN_MIXTURE: nothing is claimed
+        for end, rung_lower, rung_upper in zip(ends, lower, upper):
             lo, hi = sorted((pi, end))
             for belief in [lo, hi] + [min(hi, lo + f * (hi - lo)) for f in fractions]:
                 terms = _receiver_terms(window, belief)
@@ -905,18 +916,15 @@ class TestCertifiedIntervals:
     @given(random_windows(), st.lists(beliefs, min_size=1, max_size=9))
     def test_grouped_ends_keep_their_bounds(self, drawn, ends):
         # one walk from pi and many ends, on both sides of it, gives each end
-        # the bytes of a walk from pi and that end alone, or no claim for both
+        # the bytes of a walk from pi and that end alone
         scenario, pi, state, _ = drawn
         window = _WindowScan(scenario, state)
-        lower, upper, switches = window._term_bounds(pi, ends)
+        lower, upper = window._term_bounds(pi, ends)
         assert lower.shape == upper.shape == (len(ends), *window.dead.shape)
-        for end, rung_lower, rung_upper, switch in zip(ends, lower, upper, switches):
-            alone_lower, alone_upper, alone_switches = window._term_bounds(pi, [end])
-            assert switch == alone_switches[0]
-            assert switch == window._term_bounds(end, [pi])[2][0]  # both ends are guarded alike
-            if not switch:
-                assert rung_lower.tobytes() == alone_lower[0].tobytes()
-                assert rung_upper.tobytes() == alone_upper[0].tobytes()
+        for end, rung_lower, rung_upper in zip(ends, lower, upper):
+            alone_lower, alone_upper = window._term_bounds(pi, [end])
+            assert rung_lower.tobytes() == alone_lower[0].tobytes()
+            assert rung_upper.tobytes() == alone_upper[0].tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(random_windows(), beliefs)
@@ -1008,7 +1016,7 @@ class TestCertifiedIntervals:
         # Bayes' rule returns both ends exactly, so the walk needs no mask for them
         scenario, _, state, _ = drawn
         window = _WindowScan(scenario, state)
-        for _, _, beta, _ in window._walk(np.array([0.0, 1.0])[:, None, None, None, None]):
+        for _, _, beta in window._walk(np.array([0.0, 1.0])[:, None, None, None, None]):
             zero, one = np.broadcast_to(beta, (2, *window.dead.shape))
             assert np.all(zero == 0.0) and not np.signbit(zero).any()
             assert np.all(one == 1.0)
@@ -1052,6 +1060,50 @@ class TestCertifiedIntervals:
             for pi in (0.0, 1.0):
                 assert policy.decide(pi, state) == scan_roots(pi, state)
         assert policy.counts["scans"] == scans
+
+    def test_zero_likelihood_cell_is_proven_from_the_lowest_beliefs(self):
+        # a live, moving cell of this window has a zero likelihood, so its
+        # mixture at 1e-300 is below MIN_MIXTURE; the guarded Bayes step is
+        # still monotone, and the first rung, up to the end of the stretch,
+        # is proven
+        scenario = random_scenario(labelled_alphabets(2, 2, 2), 2, np.random.default_rng(2))
+        policy = RecedingHorizonPolicy(scenario)
+        roots = policy.decide(1e-300, "x0")
+        keys = ("scans", "proofs_tried", "proofs_accepted", "uncovered")
+        assert policy.counts == dict(zip(keys, (1, 1, 1, 0)))
+        assert policy._regions["x0"].edges == [1e-300, 1.0]
+        inside = [1e-300, math.nextafter(1e-300, 1.0), 1e-150, 0.5, math.nextafter(1.0, 0.0)]
+        inside += (10.0 ** np.random.default_rng(0).uniform(-300.0, 0.0, size=30)).tolist()
+        scan_roots = _fresh_scan_roots(scenario)
+        for pi in inside:
+            assert policy.decide(pi, "x0") == roots == scan_roots(pi, "x0")
+        assert policy.counts["scans"] == 1
+
+    @pytest.mark.parametrize("small, infinite", [(1e-301, True), (2e-300, True), (3e-300, False)])
+    def test_likelihood_near_the_mixture_guard_proves_nothing(
+        self, scenario_builder, small, infinite
+    ):
+        # at x_n the two actions move the belief on the path back to x_n by
+        # the likelihoods (small, 1e-295); a positive one at most
+        # 2 * MIN_MIXTURE can reorder two beliefs, so no bound is trusted
+        rows = {("x_n", "a_b"): (small, 1.0 - small), ("x_n", "a_m"): (1e-295, 1.0 - 1e-295)}
+        rows |= {("x_a", "a_b"): (0.5, 0.5), ("x_a", "a_m"): (0.4, 0.6)}
+
+        def sender(t, x, a, r):
+            return float(a == "a_m") + float(r == "r_b")
+
+        def receiver(t, x, a, r):
+            return float((t == BENIGN) == (r == "r_b"))
+
+        scenario = scenario_builder(rows, sender, receiver, horizon=2)
+        window = _WindowScan(scenario, "x_n")
+        assert (window._margin == math.inf) == infinite
+        policy = RecedingHorizonPolicy(scenario)
+        scan_roots = _fresh_scan_roots(scenario)
+        for pi in (0.3, 0.7):
+            assert policy.decide(pi, "x_n") == scan_roots(pi, "x_n")
+        if infinite:
+            assert policy.counts["proofs_accepted"] == 0
 
     def test_horizon_three_intervals_equal_fresh_scans(self, table1, table4):
         # a window has 2**21 joint profiles at horizon 3; every stored

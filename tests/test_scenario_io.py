@@ -386,6 +386,27 @@ class TestBatchExport:
         assert doc["n_episodes"] == 3
         assert doc == json.loads(json.dumps(asdict(summary)))
 
+    def test_directory_of_an_earlier_batch_is_refused(self, table1, tmp_path):
+        # the second batch would leave episode_0002.csv beside a summary of
+        # two episodes; nothing of the first is touched
+        scenario = replace(table1, episode_length=30)
+        outdir = tmp_path / "out"
+        write_batch(*run_batch(scenario, 3, base_seed=77), outdir)
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        second = run_batch(scenario, 2, base_seed=78)
+        message = re.escape(f"{outdir}: already holds episode_0000.csv")
+        with pytest.raises(ValueError, match=f"^{message}; "):
+            write_batch(*second, outdir)
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+        for p in outdir.glob("episode_*.csv"):
+            p.unlink()
+        with pytest.raises(ValueError, match=re.escape(f"{outdir}: already holds summary.json")):
+            write_batch(*second, outdir)
+        (outdir / "summary.json").unlink()
+        (outdir / "notes.txt").write_text("kept")  # other files do not count
+        written = write_batch(*second, outdir)
+        assert len(written) == 3 and (outdir / "notes.txt").read_text() == "kept"
+
     def test_failed_episode_is_skipped(self, table1, tmp_path):
         # a failed episode is None in the batch; its CSV is not written, and
         # the others keep their episode numbers
