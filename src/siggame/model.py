@@ -70,12 +70,21 @@ class TransitionKernel:
     def __post_init__(self):
         clean = {tuple(k): tuple(float(p) for p in v) for k, v in self.table.items()}
         object.__setattr__(self, "table", clean)
+        object.__setattr__(self, "_cuts", {})
 
     def row(self, x: str, a: str, r: str) -> tuple[float, ...]:
         try:
             return self.table[(x, a, r)]
         except KeyError:
             raise ValueError(f"kernel has no row for (x={x!r}, a={a!r}, r={r!r})") from None
+
+    def cuts(self, x: str, a: str, r: str) -> list[float]:
+        """``cdf_cuts`` of the row (x, a, r), computed on its first use and
+        kept for the kernel's lifetime; the rows never change."""
+        cuts = self._cuts.get((x, a, r))
+        if cuts is None:
+            cuts = self._cuts[x, a, r] = cdf_cuts(self.row(x, a, r))
+        return cuts
 
 
 @dataclass(frozen=True)
@@ -229,5 +238,4 @@ def sample_transition(
     deterministic function of the generator state, and the generator
     advances by exactly one draw.
     """
-    cuts = cdf_cuts(kernel.row(x, a, r))
-    return kernel.alphabets.states[bisect_right(cuts, rng.random())]
+    return kernel.alphabets.states[bisect_right(kernel.cuts(x, a, r), rng.random())]

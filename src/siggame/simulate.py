@@ -8,8 +8,12 @@ PCG64 generator seeded with the episode seed; they are the doubles that as
 many successive ``rng.random()`` calls would give. Step k samples its
 successor from uniform k by ``sample_transition``'s rule: the first state
 whose running sum of the applied row, left to right from 0.0, exceeds the
-uniform, else the last state of positive probability. Episodes are
-bit-reproducible functions of (scenario, seed); batches derive one
+uniform, else the last state of positive probability. The policy is
+queried once per (belief, state) while the belief holds: the loop keeps each
+state's step until the belief moves. A still step, at belief 0 or 1 or where
+both types pool on a row whose positive entries all exceed ``MIN_MIXTURE``,
+records (belief, 1.0) without a Bayes call, as that call would return.
+Episodes are bit-reproducible functions of (scenario, seed); batches derive one
 independent seed per episode with a fixed mixing function so any parallel
 split of the work produces identical results.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beliefs import coefficient_value, posterior_malicious
+from .beliefs import MIN_MIXTURE, coefficient_value, posterior_malicious
 from .diagnostics import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
@@ -34,7 +38,7 @@ from .diagnostics import (
     convergence_report,
 )
 from .equilibrium import RecedingHorizonPolicy
-from .model import MALICIOUS, Scenario, cdf_cuts
+from .model import MALICIOUS, Scenario
 # Not called here; bound so that bench/tracing.py can patch it in this module.
 from .model import sample_transition
 
@@ -120,36 +124,56 @@ def run_episode(
 ) -> Trajectory:
     """Simulate one episode of ``scenario.episode_length`` steps.
 
-    Steps record one row each, in ``Trajectory``'s column order. A shared
-    policy may be passed to reuse its certified belief intervals across
-    episodes; results do not depend on that reuse.
+    Steps record one row each, in ``Trajectory``'s column order. The policy
+    is queried once per (belief, state) while the belief holds, and a still
+    step records (belief, 1.0) without a Bayes call (see the module
+    docstring). A shared policy may be passed to reuse its certified belief
+    intervals across episodes; results do not depend on that reuse.
     """
     if policy is None:
         policy = RecedingHorizonPolicy(scenario)
     malicious = scenario.true_type == MALICIOUS
     states = scenario.alphabets.states
-    table = scenario.kernel.table
-    cuts = {key: cdf_cuts(row) for key, row in table.items()}
+    kernel = scenario.kernel
+    table = kernel.table
     uniforms = np.random.default_rng(seed).random(scenario.episode_length).tolist()
     x = scenario.initial_state
     pi = scenario.prior
     rows = []
+    steps = {}  # state -> its step at belief pi
     for u in uniforms:
-        a_b, a_m, reaction = policy.decide(pi, x)
-        j = bisect_right(cuts[x, a_m if malicious else a_b, reaction], u)
-        p_b = table[x, a_b, reaction][j]
-        p_m = table[x, a_m, reaction][j]
-        if 0.0 < pi < 1.0:
+        step = steps.get(x)
+        if step is None:
+            a_b, a_m, reaction = policy.decide(pi, x)
+            applied = a_m if malicious else a_b
+            # Pooled play on a row with a positive entry at MIN_MIXTURE or
+            # less is not still: drawing that entry fails the Bayes step.
+            still = not 0.0 < pi < 1.0 or (
+                a_b == a_m and min(p for p in table[x, applied, reaction] if p > 0.0) > MIN_MIXTURE
+            )
+            step = steps[x] = (
+                kernel.cuts(x, applied, reaction),
+                table[x, a_b, reaction],
+                table[x, a_m, reaction],
+                (x, a_b, a_m, reaction, pi, 1.0),
+                still,
+            )
+        cuts, row_b, row_m, row, still = step
+        j = bisect_right(cuts, u)
+        if still:
+            rows.append(row)
+        else:
             # The mixture can still be MIN_MIXTURE or less (belief 1e-301, a
             # successor only a_m reaches); the Bayes step then fails the episode.
+            p_b = row_b[j]
+            p_m = row_m[j]
             f = coefficient_value(pi, p_b, p_m, malicious)
             pi_next = posterior_malicious(pi, p_b, p_m)
-        else:
-            f = 1.0
-            pi_next = pi
-        rows.append((x, a_b, a_m, reaction, pi_next, f))
+            rows.append((*row[:4], pi_next, f))
+            if pi_next != pi:
+                steps.clear()
+                pi = pi_next
         x = states[j]
-        pi = pi_next
     return Trajectory(scenario.true_type, scenario.prior, seed, *map(list, zip(*rows)))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import build_binary_scenario, labelled_alphabets, random_scenario
 from siggame import simulate
-from siggame.beliefs import coefficient_value, posterior_malicious
+from siggame.beliefs import InconsistentObservationError, coefficient_value, posterior_malicious
 from siggame.equilibrium import EnumerationLimitError, RecedingHorizonPolicy
 from siggame.model import BENIGN, MALICIOUS, TransitionKernel, sample_transition
 from siggame.simulate import Trajectory, derive_episode_seed, run_batch, run_episode
@@ -77,6 +77,33 @@ class TestRunEpisode:
     def test_agreement_is_action_equality(self, episode):
         for a_b, a_m, d in zip(episode.actions_benign, episode.actions_malicious, episode.agreement):
             assert d == (0 if a_b == a_m else 1)
+
+    def test_policy_queried_once_per_state_while_the_belief_holds(self, table1, monkeypatch):
+        # at horizon 1 both types pool at every step, so the belief never moves
+        decided = Counter()
+        bayes_calls = []
+
+        class CountingPolicy(RecedingHorizonPolicy):
+            def decide(self, pi_m, state):
+                decided[pi_m, state] += 1
+                return super().decide(pi_m, state)
+
+        def counted(fn):
+            def wrapper(*args):
+                bayes_calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(simulate, "RecedingHorizonPolicy", CountingPolicy)
+        monkeypatch.setattr(simulate, "posterior_malicious", counted(posterior_malicious))
+        monkeypatch.setattr(simulate, "coefficient_value", counted(coefficient_value))
+        scenario = replace(table1, horizon=1, episode_length=300)
+        traj = run_episode(scenario, derive_episode_seed(scenario.base_seed, 0))
+        assert len(traj) == 300 and traj.beliefs == [scenario.prior] * 300
+        assert decided == Counter({(scenario.prior, x): 1 for x in scenario.alphabets.states})
+        assert set(traj.states) == set(scenario.alphabets.states)
+        assert bayes_calls == []
 
     def test_recorded_coefficients_chain_the_beliefs(self, episode):
         prev = episode.prior
@@ -155,6 +182,14 @@ def replay_episode(scenario, seed):
     return traj
 
 
+def outcome(run, scenario, seed):
+    """An episode's trajectory repr, or the belief error that failed it."""
+    try:
+        return repr(run(scenario, seed))
+    except InconsistentObservationError as err:
+        return f"{type(err).__name__}: {err}"
+
+
 class _FixedUniforms:
     """A generator stand-in whose every draw is ``u``."""
 
@@ -223,18 +258,57 @@ class TestScalarReplay:
             seed = derive_episode_seed(scenario.base_seed, i)
             assert repr(run_episode(scenario, seed)) == repr(replay_episode(scenario, seed))
 
+    @pytest.mark.parametrize("config", ["table1", "table4"])
+    @pytest.mark.parametrize("horizon", [1, 2])
+    @pytest.mark.parametrize(
+        "prior, true_type",  # at priors 0 and 1 every step is still
+        [(0.0, MALICIOUS), (1.0, MALICIOUS), (0.0, BENIGN), (1.0, BENIGN), (0.1, BENIGN)],
+    )
+    def test_bundled_tables_other_priors_and_types(
+        self, request, config, horizon, prior, true_type
+    ):
+        scenario = replace(
+            request.getfixturevalue(config), horizon=horizon, prior=prior, true_type=true_type
+        )
+        for i in range(3):
+            seed = derive_episode_seed(scenario.base_seed, i)
+            assert repr(run_episode(scenario, seed)) == repr(replay_episode(scenario, seed))
+
     @settings(max_examples=30, deadline=None)
     @given(
         horizon=st.sampled_from([1, 2]),
         shape=st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3)]),
         draw=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**64 - 1),
+        prior=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        true_type=st.sampled_from([MALICIOUS, BENIGN]),
     )
-    def test_random_scenarios_with_zero_entries(self, horizon, shape, draw, seed):
+    def test_random_scenarios_with_zero_entries(
+        self, horizon, shape, draw, seed, prior, true_type
+    ):
         scenario = random_scenario(labelled_alphabets(*shape), horizon, np.random.default_rng(draw))
-        scenario = replace(scenario, episode_length=60)
+        scenario = replace(scenario, episode_length=60, prior=prior, true_type=true_type)
         assume(any(0.0 in row for row in scenario.kernel.table.values()))
-        assert repr(run_episode(scenario, seed)) == repr(replay_episode(scenario, seed))
+        assert outcome(run_episode, scenario, seed) == outcome(replay_episode, scenario, seed)
+
+    def test_pooled_row_with_an_entry_at_the_mixture_guard(self, monkeypatch):
+        # one action, so both types pool; the last entry is drawn, and at
+        # 1e-301 <= MIN_MIXTURE its Bayes step has no defined posterior
+        al = labelled_alphabets(2, 1, 1)
+        row = (1.0 - 5e-10, 1e-301)  # sums to 1 - 5e-10, inside ROW_SUM_TOL
+        scenario = replace(
+            random_scenario(al, 1, np.random.default_rng(0)),
+            kernel=TransitionKernel(alphabets=al, table={(x, "a0", "r0"): row for x in al.states}),
+            episode_length=3,
+        )
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: _FixedUniforms(math.nextafter(1.0, 0.0))
+        )
+        expected = (
+            "InconsistentObservationError: observation impossible under belief 0.5"
+            " with likelihoods (1e-301, 1e-301)"
+        )
+        assert outcome(run_episode, scenario, 0) == outcome(replay_episode, scenario, 0) == expected
 
 
 class TestSeedDerivation:
@@ -248,6 +322,25 @@ class TestSeedDerivation:
     def test_u64_range(self):
         for i in range(50):
             assert 0 <= derive_episode_seed(2**64 - 1, i) < 2**64
+
+
+def fail_decide_in_episode(monkeypatch, seed):
+    """Make ``decide`` raise while the episode of ``seed`` runs: its first
+    call fails that episode, and no other episode sees the failure."""
+    running = []
+    episode, decide = simulate.run_episode, RecedingHorizonPolicy.decide
+
+    def marked_episode(scenario, episode_seed, policy=None):
+        running.append(episode_seed)
+        return episode(scenario, episode_seed, policy)
+
+    def failing_decide(self, pi_m, state):
+        if running[-1] == seed:
+            raise RuntimeError("injected decide failure")
+        return decide(self, pi_m, state)
+
+    monkeypatch.setattr(simulate, "run_episode", marked_episode)
+    monkeypatch.setattr(RecedingHorizonPolicy, "decide", failing_decide)
 
 
 class TestRunBatch:
@@ -348,19 +441,10 @@ class TestRunBatch:
 
     def test_later_chunk_failure_recorded_at_its_index(self, table1, inline_pool, monkeypatch):
         # 7 episodes over 3 workers run inline as chunks of 2, 2 and 3, so
-        # decide call 151 is the first step of episode 5, the last chunk's second
+        # episode 5 is the last chunk's second
         scenario = replace(table1, episode_length=30)
         serial, serial_trajs = run_batch(scenario, 7, base_seed=4)
-        calls = []
-        decide = RecedingHorizonPolicy.decide
-
-        def failing_decide(self, pi_m, state):
-            calls.append(None)
-            if len(calls) == 5 * 30 + 1:
-                raise RuntimeError("injected decide failure")
-            return decide(self, pi_m, state)
-
-        monkeypatch.setattr(RecedingHorizonPolicy, "decide", failing_decide)
+        fail_decide_in_episode(monkeypatch, derive_episode_seed(4, 5))
         summary, trajectories = run_batch(scenario, 7, base_seed=4, workers=3)
         assert inline_pool == [3]
         assert summary.errors == [(5, "injected decide failure")]
@@ -371,19 +455,9 @@ class TestRunBatch:
             assert summary.terminal_beliefs[i] == serial.terminal_beliefs[i]
 
     def test_episode_failure_recorded_without_aborting(self, table1, monkeypatch):
-        # the serial batch runs episode 1's steps as decide calls 40..79;
-        # failing the first of them fails that episode only
+        # failing the first decide of episode 1 fails that episode only
         scenario = replace(table1, episode_length=40)
-        calls = []
-        decide = RecedingHorizonPolicy.decide
-
-        def failing_decide(self, pi_m, state):
-            calls.append(None)
-            if len(calls) == 41:
-                raise RuntimeError("injected decide failure")
-            return decide(self, pi_m, state)
-
-        monkeypatch.setattr(RecedingHorizonPolicy, "decide", failing_decide)
+        fail_decide_in_episode(monkeypatch, derive_episode_seed(2, 1))
         summary, trajectories = run_batch(scenario, 3, base_seed=2)
         assert summary.errors == [(1, "injected decide failure")]
         assert summary.classifications["ERROR"] == 1
