@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .beliefs import BeliefState
 from .diagnostics import (
@@ -47,20 +47,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a scenario file's kernel and distinguishability")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("--config", required=True)
 
     p = sub.add_parser("equilibrium", help="solve one window and print root prescriptions")
+    p.set_defaults(run=_cmd_equilibrium)
     p.add_argument("--config", required=True)
     p.add_argument("--belief", type=float, required=True, help="current malicious-type belief")
     p.add_argument("--state", required=True, help="current state label")
 
     p = sub.add_parser("simulate", help="run one episode and write its trajectory CSV")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_seed_type, default=None, help="episode seed (default: config)")
     p.add_argument("--steps", type=int, default=None, help="override episode length")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     p = sub.add_parser("batch", help="run many episodes; write trajectories plus summary.json")
+    p.set_defaults(run=_cmd_batch)
     p.add_argument("--config", required=True)
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--seed", type=_seed_type, default=None, help="batch base seed (default: config)")
@@ -76,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("diagnose", help="convergence and agreement reports for trajectory CSVs")
+    p.set_defaults(run=_cmd_diagnose)
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -83,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "appendix-a", help="closed-form belief after k balanced random-walk excursions"
     )
+    p.set_defaults(run=_cmd_appendix_a)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prior", type=float, required=True)
@@ -180,16 +186,7 @@ def _cmd_diagnose(args) -> int:
         except ValueError as err:
             raise ValueError(f"{name}: {err}") from None
         _, sustained = agreement_series(traj)
-        reports.append(
-            {
-                "file": name,
-                "limit_estimate": report.limit_estimate,
-                "oscillation": report.oscillation,
-                "classification": report.classification.value,
-                "pi_to_zero_also": report.pi_to_zero_also,
-                "sustained_agreement_step": sustained,
-            }
-        )
+        reports.append({"file": name, **asdict(report), "sustained_agreement_step": sustained})
     # Verdict over the supplied files, read as one malicious-type batch.
     averse = all(r["limit_estimate"] <= 1.0 - args.tol for r in reports)
     doc = {"reports": reports, "detection_averse": averse}
@@ -203,21 +200,11 @@ def _cmd_appendix_a(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "equilibrium": _cmd_equilibrium,
-    "simulate": _cmd_simulate,
-    "batch": _cmd_batch,
-    "diagnose": _cmd_diagnose,
-    "appendix-a": _cmd_appendix_a,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (OSError, ValueError) as err:  # a ScenarioFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1

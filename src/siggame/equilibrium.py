@@ -720,18 +720,17 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
 class _RegionTable:
     """One state's window and its certified belief intervals.
 
-    Interval k covers [edges[2k], edges[2k + 1]) and plays roots[2k + 1] with
-    least regret regrets[2k + 1]; the gaps between intervals hold None, so a
-    lookup is one bisect and one list index.
+    Interval k covers [edges[2k], edges[2k + 1]) and its entry,
+    entries[2k + 1], is (roots, least regret); the gaps between intervals
+    hold None, so a lookup is one bisect and one list index.
     """
 
-    __slots__ = ("window", "edges", "roots", "regrets")
+    __slots__ = ("window", "edges", "entries")
 
     def __init__(self, window: _WindowScan):
         self.window = window
         self.edges: list[float] = []
-        self.roots: list[tuple[str, str, str] | None] = [None]
-        self.regrets: list[float | None] = [None]
+        self.entries: list[tuple[tuple[str, str, str], float] | None] = [None]
 
     def gap(self, pi: float) -> tuple[float, float]:
         """First and last double of the uncovered stretch of (0, 1) around ``pi``."""
@@ -741,20 +740,17 @@ class _RegionTable:
         hi = math.nextafter(edges[i] if i < len(edges) else 1.0, 0.0)
         return lo, hi
 
-    def insert(self, lo: float, hi: float, roots: tuple[str, str, str], regret: float) -> None:
+    def insert(self, lo: float, hi: float, entry: tuple[tuple[str, str, str], float]) -> None:
         """Cover [lo, hi], which lies in one gap, merging it into a touching
-        interval with the same roots and regret."""
-        end = math.nextafter(hi, 2.0)
-        i = bisect_right(self.edges, lo)
-        self.edges[i:i] = [lo, end]
-        self.roots[i : i + 1] = [None, roots, None]
-        self.regrets[i : i + 1] = [None, regret, None]
+        interval with an equal entry."""
+        edges, entries = self.edges, self.entries
+        i = bisect_right(edges, lo)
+        edges[i:i] = [lo, math.nextafter(hi, 2.0)]
+        entries[i : i + 1] = [None, entry, None]
         for j in (i + 1, i - 1):  # the right neighbour, then the left one
-            if 0 < j < len(self.edges) - 1 and self.edges[j] == self.edges[j + 1]:
-                if (self.roots[j], self.regrets[j]) == (self.roots[j + 2], self.regrets[j + 2]):
-                    del self.edges[j : j + 2]
-                    del self.roots[j + 1 : j + 3]
-                    del self.regrets[j + 1 : j + 3]
+            if 0 < j < len(edges) - 1 and edges[j] == edges[j + 1] and entries[j] == entries[j + 2]:
+                del edges[j : j + 2]
+                del entries[j + 1 : j + 3]
 
 
 class RecedingHorizonPolicy:
@@ -796,9 +792,9 @@ class RecedingHorizonPolicy:
             table = self._regions[state]
         except KeyError:
             raise ValueError(f"unknown state label {state!r}") from None
-        roots = table.roots[bisect_right(table.edges, pi_m)]
-        if roots is not None:
-            return roots
+        entry = table.entries[bisect_right(table.edges, pi_m)]
+        if entry is not None:
+            return entry[0]
         return self._scan(table, pi_m, state)
 
     def _scan(self, table: _RegionTable, pi_m: float, state: str) -> tuple[str, str, str]:
@@ -806,16 +802,16 @@ class RecedingHorizonPolicy:
             raise ValueError(f"belief {pi_m!r} in state {state!r} is not in [0, 1]")
         spreads, choice, _, least, _ = table.window.scan(pi_m)
         self.counts["scans"] += 1
-        roots = table.window.enum.profile(*choice).root_prescriptions()
+        entry = (table.window.enum.profile(*choice).root_prescriptions(), least)
         ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, spreads, choice, pi_m)
         if ends is None:
             self.counts["uncovered"] += 1
             if len(table.edges) < 2 * MAX_INTERVALS:
                 ends = (pi_m, pi_m)
         if ends is not None:
-            table.insert(*ends, roots, least)
-            _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *ends, roots, least)
-        return roots
+            table.insert(*ends, entry)
+            _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *ends, *entry)
+        return entry[0]
 
     def _certify(self, table, spreads, choice, pi):
         """The proven interval around ``pi`` in its uncovered stretch, or None.

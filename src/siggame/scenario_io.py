@@ -1,7 +1,8 @@
 """Scenario files, trajectory CSV export, and report serialization.
 
 Scenario files are JSON, and each field takes its JSON type uncoerced (a
-JSON integer also serves as a number). Kernels may use the
+JSON integer also serves as a number); a field the format does not name is
+an error, not ignored. Kernels may use the
 ``reaction_independent`` shorthand (one row per state/action, expanded over
 reactions). Utility tables nest state -> action -> reaction; a number at any
 level is constant over the remaining levels and the key "*" matches every
@@ -63,10 +64,17 @@ class ScenarioFormatError(ValueError):
     """The scenario document is malformed or fails validation."""
 
 
-def _require(doc: Any, key: str, where: str) -> Any:
-    if not isinstance(doc, dict) or key not in doc:
-        raise ScenarioFormatError(f"{where}: missing required field {key!r}")
-    return doc[key]
+def _fields(doc: Any, where: str, required: tuple, optional: tuple = ()) -> list:
+    """The values of the ``required`` keys of the mapping ``doc``. A missing
+    one, or a key that is neither required nor ``optional``, such as a
+    misspelt field, is a format error naming ``where``."""
+    for key in _as(dict, doc, where):
+        if key not in required and key not in optional:
+            raise ScenarioFormatError(f"{where}: unknown field {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ScenarioFormatError(f"{where}: missing required field {key!r}")
+    return [doc[key] for key in required]
 
 
 def _as(kind: type, node: Any, where: str) -> Any:
@@ -84,7 +92,8 @@ def _row(node: Any, where: str) -> tuple[float, ...]:
 
 
 def _parse_kernel(doc: dict, alphabets: Alphabets) -> TransitionKernel:
-    rows = _as(dict, _require(doc, "rows", "kernel"), "kernel.rows")
+    [rows] = _fields(doc, "kernel", ("rows",), ("reaction_independent",))
+    rows = _as(dict, rows, "kernel.rows")
     reaction_independent = _as(
         bool, doc.get("reaction_independent", False), "kernel.reaction_independent"
     )
@@ -108,27 +117,19 @@ def _expand_utility(doc: Any, axes: tuple[tuple[str, ...], ...], where: str) -> 
 
     def assign(prefix: tuple, node: Any, depth: int) -> None:
         if isinstance(node, (int, float)) and not isinstance(node, bool):
-            value = float(node)
-            combos = [prefix]
-            for axis in axes[depth:]:
-                combos = [c + (label,) for c in combos for label in axis]
-            for combo in combos:
-                out[combo] = value
+            for rest in itertools.product(*axes[depth:]):
+                out[prefix + rest] = float(node)
             return
         if not isinstance(node, dict):
             raise ScenarioFormatError(f"{where}: expected number or mapping, got {node!r}")
         if depth >= len(axes):
             raise ScenarioFormatError(f"{where}: nesting deeper than state/action/reaction")
         axis = axes[depth]
-        wildcard = node.get("*")
-        explicit = [(k, v) for k, v in node.items() if k != "*"]
-        if wildcard is not None:
-            for label in axis:
-                assign(prefix + (label,), wildcard, depth + 1)
-        for key, sub in explicit:
-            if key not in axis:
+        for key in sorted(node, key=lambda k: k != "*"):  # "*" first: a label overrides it
+            if key != "*" and key not in axis:
                 raise ScenarioFormatError(f"{where}: unknown label {key!r} at level {depth}")
-            assign(prefix + (key,), sub, depth + 1)
+            for label in axis if key == "*" else (key,):
+                assign(prefix + (label,), node[key], depth + 1)
 
     assign((), doc, 0)
     return out
@@ -137,11 +138,10 @@ def _expand_utility(doc: Any, axes: tuple[tuple[str, ...], ...], where: str) -> 
 def _parse_utilities(doc: dict, alphabets: Alphabets) -> UtilityTables:
     axes = (alphabets.states, alphabets.actions, alphabets.reactions)
     tables: dict[str, dict[tuple, float]] = {}
-    for side in ("sender", "receiver"):
-        side_doc = _require(doc, side, "utilities")
+    sides = ("sender", "receiver")
+    for side, side_doc in zip(sides, _fields(doc, "utilities", sides)):
         flat: dict[tuple, float] = {}
-        for sender_type in TYPES:
-            type_doc = _require(side_doc, sender_type, f"utilities.{side}")
+        for sender_type, type_doc in zip(TYPES, _fields(side_doc, f"utilities.{side}", TYPES)):
             expanded = _expand_utility(type_doc, axes, f"utilities.{side}.{sender_type}")
             for key, value in expanded.items():
                 flat[(sender_type,) + key] = value
@@ -150,27 +150,32 @@ def _parse_utilities(doc: dict, alphabets: Alphabets) -> UtilityTables:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document; a malformed field or a
-    defect found by the Scenario constructor is a ScenarioFormatError."""
-    alpha_doc = _require(doc, "alphabets", "document")
+    """Build a Scenario from a parsed JSON document; a malformed, missing or
+    unknown field or a defect found by the Scenario constructor is a
+    ScenarioFormatError."""
+    required = ("alphabets", "kernel", "utilities", "initial_state", "prior", "true_type")
+    alpha_doc, kernel_doc, util_doc, initial_state, prior, true_type = _fields(
+        doc, "document", required, tuple(_DEFAULTED)
+    )
+    axes = ("states", "actions", "reactions")
     labels = [
-        tuple(_as(list, _require(alpha_doc, key, "alphabets"), f"alphabets.{key}"))
-        for key in ("states", "actions", "reactions")
+        tuple(_as(list, node, f"alphabets.{key}"))
+        for key, node in zip(axes, _fields(alpha_doc, "alphabets", axes))
     ]
     try:
         alphabets = Alphabets(*labels)
     except (TypeError, ValueError) as err:  # unhashable, empty or duplicate labels
         raise ScenarioFormatError(f"alphabets: {err}") from err
-    kernel = _parse_kernel(_require(doc, "kernel", "document"), alphabets)
-    utilities = _parse_utilities(_require(doc, "utilities", "document"), alphabets)
+    kernel = _parse_kernel(kernel_doc, alphabets)
+    utilities = _parse_utilities(util_doc, alphabets)
     try:
         return Scenario(
             alphabets=alphabets,
             kernel=kernel,
             utilities=utilities,
-            initial_state=_require(doc, "initial_state", "document"),
-            prior=_as(float, _require(doc, "prior", "document"), "prior"),
-            true_type=_require(doc, "true_type", "document"),
+            initial_state=initial_state,
+            prior=_as(float, prior, "prior"),
+            true_type=true_type,
             **{field: _as(int, doc[key], key) for key, field in _DEFAULTED.items() if key in doc},
         )
     except ValueError as err:

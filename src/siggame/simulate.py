@@ -12,7 +12,11 @@ uniform, else the last state of positive probability. The policy is
 queried once per (belief, state) while the belief holds: the loop keeps each
 state's step until the belief moves. A still step, at belief 0 or 1 or where
 both types pool on a row whose positive entries all exceed ``MIN_MIXTURE``,
-records (belief, 1.0) without a Bayes call, as that call would return.
+records (belief, 1.0) without a Bayes call. On a pooled row that is what the
+call returns; at belief 0 or 1 it is the absorbing convention of
+``Trajectory``, since ``coefficient_value`` there gives a malicious true type
+at belief 0 the factor p_m/p_b, or raises where p_b is 0, and a benign one at
+belief 1 the mirror factor.
 Episodes are bit-reproducible functions of (scenario, seed); batches derive one
 independent seed per episode with a fixed mixing function so any parallel
 split of the work produces identical results.

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,32 @@ from siggame.cli import main
 from siggame.model import MALICIOUS
 from siggame.scenario_io import resolve_config_path, write_trajectory
 from siggame.simulate import Trajectory
+
+
+# `diagnose` over the two episodes of test_batch_writes_files_then_diagnose_reads_them
+_DIAGNOSED_TWO_EPISODES = """\
+{
+  "detection_averse": true,
+  "reports": [
+    {
+      "classification": "F_TO_ONE",
+      "file": "<outdir>/episode_0000.csv",
+      "limit_estimate": 0.361765301895,
+      "oscillation": 0.0,
+      "pi_to_zero_also": false,
+      "sustained_agreement_step": 39
+    },
+    {
+      "classification": "F_TO_ONE",
+      "file": "<outdir>/episode_0001.csv",
+      "limit_estimate": 0.396366487221,
+      "oscillation": 0.0,
+      "pi_to_zero_also": false,
+      "sustained_agreement_step": 31
+    }
+  ]
+}
+"""
 
 
 @pytest.fixture
@@ -21,7 +48,7 @@ class TestValidateCommand:
         assert "distinguishability: ok" in out
 
     def test_bad_row_exits_one(self, table1_path, tmp_path, capsys):
-        doc = json.loads(open(table1_path).read())
+        doc = json.loads(Path(table1_path).read_text())
         doc["kernel"]["rows"]["x_n"]["a_b"] = [0.5, 0.6]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -36,7 +63,7 @@ class TestValidateCommand:
         assert main(["validate", "--config", "/nonexistent.json"]) == 1
 
     def test_missing_field_error_names_file(self, table1_path, tmp_path, capsys):
-        doc = json.loads(open(table1_path).read())
+        doc = json.loads(Path(table1_path).read_text())
         del doc["prior"]
         bad = tmp_path / "no_prior.json"
         bad.write_text(json.dumps(doc))
@@ -45,8 +72,18 @@ class TestValidateCommand:
         assert line.startswith(f"error: {bad}: ")
         assert "'prior'" in line
 
+    def test_misspelt_field_exits_one(self, table1_path, tmp_path, capsys):
+        doc = json.loads(Path(table1_path).read_text())
+        doc["horizn"] = doc.pop("horizon")
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {bad}: document: unknown field 'horizn'"]
+
     def test_indistinguishable_kernel_reported_once(self, table1_path, tmp_path, capsys, recwarn):
-        doc = json.loads(open(table1_path).read())
+        doc = json.loads(Path(table1_path).read_text())
         for x in ("x_n", "x_a"):
             doc["kernel"]["rows"][x]["a_m"] = doc["kernel"]["rows"][x]["a_b"]
         pooled = tmp_path / "pooled.json"
@@ -138,7 +175,7 @@ class TestFileErrors:
     def test_directory_config_never_reads_a_sibling_file(self, table1_path, tmp_path, capsys):
         # an existing path is read as given, so ``d`` never resolves to ``d.json``
         (tmp_path / "d").mkdir()
-        (tmp_path / "d.json").write_text(open(table1_path).read())
+        (tmp_path / "d.json").write_text(Path(table1_path).read_text())
         assert main(["validate", "--config", str(tmp_path / "d")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -169,7 +206,9 @@ class TestBatchAndDiagnoseCommands:
         assert len(episodes) == 2
         assert (outdir / "summary.json").exists()
         assert main(["diagnose", "--in", *episodes]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out.replace(str(outdir), "<outdir>") == _DIAGNOSED_TWO_EPISODES
+        doc = json.loads(out)
         assert len(doc["reports"]) == 2
         # a malicious batch whose limits all clear 1 - tol
         assert all(r["limit_estimate"] <= 0.95 for r in doc["reports"])

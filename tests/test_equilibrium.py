@@ -848,17 +848,72 @@ class TestRegionTable:
         table = _RegionTable(window=None)
         a, b = ("a0", "a0", "r0"), ("a1", "a1", "r0")
         assert table.gap(0.5) == (math.ulp(0.0), down(1.0))
-        table.insert(0.2, 0.3, a, 0.0)
+        table.insert(0.2, 0.3, (a, 0.0))
         assert table.gap(0.1) == (math.ulp(0.0), down(0.2))
         assert table.gap(0.5) == (up(0.3), down(1.0))
-        table.insert(up(0.3), 0.4, a, 0.0)  # touches with equal roots and regret: merged
-        table.insert(0.1, down(0.2), b, 0.0)  # other roots: kept apart
-        table.insert(up(0.4), 0.5, a, 0.5)  # other regret: kept apart
+        table.insert(up(0.3), 0.4, (a, 0.0))  # touches with equal roots and regret: merged
+        table.insert(0.1, down(0.2), (b, 0.0))  # other roots: kept apart
+        table.insert(up(0.4), 0.5, (a, 0.5))  # other regret: kept apart
         assert table.edges == [0.1, 0.2, 0.2, up(0.4), up(0.4), up(0.5)]
-        assert table.regrets == [None, 0.0, None, 0.0, None, 0.5, None]
+        regrets = [entry and entry[1] for entry in table.entries]
+        assert regrets == [None, 0.0, None, 0.0, None, 0.5, None]
         lookups = [down(0.1), 0.1, down(0.2), 0.2, 0.4, up(0.4), 0.5, up(0.5)]
         expected = [None, b, b, a, a, a, a, None]
-        assert [table.roots[bisect_right(table.edges, pi)] for pi in lookups] == expected
+        entries = [table.entries[bisect_right(table.edges, pi)] for pi in lookups]
+        assert [entry and entry[0] for entry in entries] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_inserts_match_an_interval_list(self, data):
+        # Sorted cuts, some 1-2 ulps apart, split [0, 1] into segments; each
+        # segment is a gap or an interval [cut, next cut) with an entry from a
+        # small set, so points and touching intervals with equal entries occur.
+        cuts = set()
+        for x, steps in data.draw(
+            st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2)), min_size=1, max_size=8)
+        ):
+            for _ in range(steps + 1):
+                cuts.add(x)
+                x = math.nextafter(x, 2.0)
+        cuts = sorted(cuts)
+        choices = [None] + [(roots, regret) for roots in ("a", "b") for regret in (0.0, 0.5)]
+        slots = data.draw(
+            st.lists(st.sampled_from(choices), min_size=len(cuts) - 1, max_size=len(cuts) - 1)
+        )
+        covered = [(lo, end, e) for lo, end, e in zip(cuts, cuts[1:], slots) if e is not None]
+
+        table = _RegionTable(window=None)
+        for lo, end, entry in data.draw(st.permutations(covered)):
+            table.insert(lo, math.nextafter(end, 0.0), entry)
+
+        # touching intervals merge exactly when their entries are equal
+        merged = []
+        for lo, end, entry in covered:
+            if merged and merged[-1][1] == lo and merged[-1][2] == entry:
+                merged[-1][1] = end
+            else:
+                merged.append([lo, end, entry])
+        assert table.edges == [edge for lo, end, _ in merged for edge in (lo, end)]
+        assert table.entries == [None] + [slot for *_, e in merged for slot in (e, None)]
+        assert all(lo < end for lo, end, _ in merged)
+        assert all(a[1] <= b[0] for a, b in zip(merged, merged[1:]))
+
+        def brute(pi):
+            return next((e for lo, end, e in covered if lo <= pi < end), None)
+
+        probes = {0.5}
+        for edge in table.edges:
+            probes |= {math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)}
+        for a, b in zip(table.edges, table.edges[1:]):
+            probes.add((a + b) / 2)
+        for pi in sorted(probes):
+            entry = table.entries[bisect_right(table.edges, pi)]
+            assert entry == brute(pi)
+            if entry is None and 0.0 < pi < 1.0:
+                # the ends of the uncovered stretch of (0, 1) around pi
+                lo = max([end for _, end, _ in covered if end <= pi], default=math.ulp(0.0))
+                hi = min([lo for lo, _, _ in covered if lo > pi], default=1.0)
+                assert table.gap(pi) == (lo, math.nextafter(hi, 0.0))
 
 
 def _ladder(pi, end, rungs):
@@ -1121,7 +1176,7 @@ class TestCertifiedIntervals:
                 for k in range(0, len(edges), 2):
                     lo, hi = edges[k], math.nextafter(edges[k + 1], 0.0)
                     for pi in (lo, (lo + hi) / 2, hi):
-                        assert scan_roots(pi, state) == table.roots[k + 1]
+                        assert scan_roots(pi, state) == table.entries[k + 1][0]
                         checked += 1
                 # a window keeps nothing with one entry per joint profile
                 assert all(a.size < profiles for a in _arrays(vars(table.window)))

@@ -143,6 +143,27 @@ class TestScenarioErrors:
         with pytest.raises(ScenarioFormatError, match=field):
             scenario_from_dict(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(horizn=3), "document: unknown field 'horizn'"),
+            (lambda doc: doc["alphabets"].update(state=["x_n"]), "alphabets: unknown field 'state'"),
+            (lambda doc: doc["kernel"].update(row={}), "kernel: unknown field 'row'"),
+            (lambda doc: doc["utilities"].update(sendr={}), "utilities: unknown field 'sendr'"),
+            (
+                lambda doc: doc["utilities"]["sender"].update(bening=1.0),
+                "utilities.sender: unknown field 'bening'",
+            ),
+        ],
+        ids=["document", "alphabets", "kernel", "utilities", "utilities-side"],
+    )
+    def test_unknown_field_rejected(self, table1, edit, message):
+        # a misspelt key would otherwise load with its field's default
+        doc = scenario_to_dict(table1)
+        edit(doc)
+        with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(doc)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json }")
@@ -189,8 +210,9 @@ class TestUtilityExpansion:
         [
             ({"x_n": {"a_b": "high"}}, "expected number or mapping, got 'high'"),
             ({"*": {"*": {"*": {"deep": 1.0}}}}, "nesting deeper than state/action/reaction"),
+            ({"x_n": 1.0, "x_a": 0.0, "*": None}, "expected number or mapping, got None"),
         ],
-        ids=["string-leaf", "too-deep"],
+        ids=["string-leaf", "too-deep", "null-wildcard"],
     )
     def test_malformed_node_names_table(self, table1, node, message):
         doc = scenario_to_dict(table1)
