@@ -136,7 +136,7 @@ def _cmd_equilibrium(args) -> int:
     print(f"sender value (benign):    {result.sender_value_benign:.6f}")
     print(f"sender value (malicious): {result.sender_value_malicious:.6f}")
     print(f"receiver value:           {result.receiver_value:.6f}")
-    print(f"equilibria found: {result.multiplicity} (tie broken: {result.tie_broken})")
+    print(f"equilibria found: {result.multiplicity} (tie broken: {result.multiplicity > 1})")
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .beliefs import posterior_malicious
+from .beliefs import BeliefState, posterior_malicious
 from .model import MALICIOUS, Scenario
 
 if TYPE_CHECKING:
@@ -59,8 +59,7 @@ def submartingale_margin(
     ``InconsistentObservationError``, and a belief outside [0, 1], or NaN,
     raises ValueError.
     """
-    if not 0.0 <= belief <= 1.0:  # NaN too
-        raise ValueError(f"belief {belief!r} in state {state!r} is not in [0, 1]")
+    BeliefState(belief)  # NaN too
     if belief in (0.0, 1.0):
         return 0.0
     a_b, a_m, reaction = roots

@@ -130,15 +130,6 @@ class EquilibriumResult:
     receiver_value: float
     multiplicity: int
 
-    @property
-    def tie_broken(self) -> bool:
-        return self.multiplicity > 1
-
-
-def joint_profile_count(alphabets: Alphabets, horizon: int) -> int:
-    n_nodes = sum(len(alphabets.states) ** d for d in range(horizon))
-    return (len(alphabets.actions) ** n_nodes) ** 2 * len(alphabets.reactions) ** n_nodes
-
 
 def _path_terms(scenario, profile, pi, x0, path):
     """Contribution of one state path under one joint profile.
@@ -798,8 +789,7 @@ class RecedingHorizonPolicy:
         return self._scan(table, pi_m, state)
 
     def _scan(self, table: _RegionTable, pi_m: float, state: str) -> tuple[str, str, str]:
-        if not 0.0 <= pi_m <= 1.0:  # NaN too; such a belief is never inside an interval
-            raise ValueError(f"belief {pi_m!r} in state {state!r} is not in [0, 1]")
+        BeliefState(pi_m)  # NaN too; such a belief is never inside an interval
         spreads, choice, _, least, _ = table.window.scan(pi_m)
         self.counts["scans"] += 1
         entry = (table.window.enum.profile(*choice).root_prescriptions(), least)

@@ -117,15 +117,14 @@ class UtilityTables:
 @dataclass(frozen=True)
 class Scenario:
     """Complete game description, checked when it is built: a kernel that is
-    not a valid stochastic kernel over ``alphabets`` (``validate_kernel``), or
-    utilities that do not cover them with finite values, raise ValueError.
+    not a valid stochastic kernel over its own alphabets (``validate_kernel``),
+    or utilities that do not cover them with finite values, raise ValueError.
 
     ``prior`` is the initial probability assigned to the malicious type.
     ``horizon`` is the lookahead window of the receding-horizon solve;
     ``episode_length`` the number of recorded closed-loop steps.
     """
 
-    alphabets: Alphabets
     kernel: TransitionKernel
     utilities: UtilityTables
     initial_state: str
@@ -148,10 +147,13 @@ class Scenario:
             raise ValueError(f"episode length must be >= 1, got {self.episode_length}")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base seed must fit in an unsigned 64-bit integer")
-        if self.kernel.alphabets != self.alphabets:
-            raise ValueError(f"kernel alphabets {self.kernel.alphabets} are not {self.alphabets}")
         validate_kernel(self.kernel)
         self.utilities.validate(self.alphabets)
+
+    @property
+    def alphabets(self) -> Alphabets:
+        """The kernel's alphabets, the one ordering of every label set."""
+        return self.kernel.alphabets
 
 
 def validate_kernel(kernel: TransitionKernel) -> None:

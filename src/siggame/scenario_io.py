@@ -170,7 +170,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     utilities = _parse_utilities(util_doc, alphabets)
     try:
         return Scenario(
-            alphabets=alphabets,
             kernel=kernel,
             utilities=utilities,
             initial_state=initial_state,
@@ -228,7 +227,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """
     path = Path(path)
     try:
-        scenario = scenario_from_dict(json.loads(path.read_text()))
+        scenario = scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
     except (UnicodeDecodeError, ScenarioFormatError) as err:
@@ -244,7 +243,9 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def resolve_config_path(name_or_path: str) -> Path:
@@ -284,13 +285,13 @@ def format_trajectory(trajectory: Trajectory) -> str:
 
 
 def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
-    Path(path).write_text(format_trajectory(trajectory))
+    Path(path).write_text(format_trajectory(trajectory), encoding="utf-8")
 
 
 def _row_error(path: Path, index: int, message: str) -> ValueError:
     """The error for data row ``index``, naming its line; the file is read
     again because a quoted field may span lines."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for _ in itertools.islice(reader, index + 2):
             pass
@@ -333,7 +334,7 @@ def read_trajectory(path: str | Path) -> Trajectory:
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader, ()))
             if header != TRAJECTORY_COLUMNS:
@@ -409,6 +410,8 @@ def write_batch(
         write_trajectory(traj, path)
         written.append(path)
     summary_path = outdir / "summary.json"
-    summary_path.write_text(json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(
+        json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     written.append(summary_path)
     return written

@@ -217,15 +217,17 @@ def run_batch(
     episode order and the summary is identical at any parallelism degree.
     Per-episode failures, such as a worker's exception, are recorded in the
     summary against their episode index instead of aborting the batch. A
-    ``workers`` below 1, a ``window`` that the episodes cannot fill, or a
-    ``tol`` outside (0, 1) is a ValueError before any episode runs. The chunk
-    policies' ``counts``, summed, are logged at INFO level on the
-    ``siggame.simulate`` logger.
+    ``workers`` below 1, a ``base_seed`` outside [0, 2**64), a ``window``
+    that the episodes cannot fill, or a ``tol`` outside (0, 1) is a
+    ValueError before any episode runs. The chunk policies' ``counts``,
+    summed, are logged at INFO level on the ``siggame.simulate`` logger.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 0 <= base_seed < 2**64:
+        raise ValueError("base seed must fit in an unsigned 64-bit integer")
     check_window(window, tol, scenario.episode_length)
     seeds = [derive_episode_seed(base_seed, i) for i in range(n_episodes)]
     n_chunks = min(workers, n_episodes)

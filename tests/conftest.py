@@ -45,7 +45,6 @@ def build_binary_scenario(
         receiver={k: float(receiver_util(*k)) for k in keys},
     )
     return Scenario(
-        alphabets=alphabets,
         kernel=TransitionKernel(alphabets=alphabets, table=table),
         utilities=utilities,
         initial_state=initial_state,
@@ -95,7 +94,6 @@ def random_scenario(al, horizon, rng, integer=False):
         receiver={k: utility() for k in keys},
     )
     return Scenario(
-        alphabets=al,
         kernel=TransitionKernel(alphabets=al, table=table),
         utilities=utilities,
         initial_state=al.states[0],

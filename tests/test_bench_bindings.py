@@ -1,10 +1,13 @@
-"""The benchmark's tracer binds package names; a rename must fail here first.
+"""The benchmark binds package names; a rename must fail here first.
 
 ``bench/tracing.installed`` patches public entry points where their
-consumers bind them. Entering it resolves every one of them, so a deleted or
-renamed name fails this test instead of a full benchmark run.
+consumers bind them, and ``bench/run.py`` calls the package through ``sg``.
+Both are resolved here, so a deleted or renamed name fails this test instead
+of a full benchmark run.
 """
 
+import ast
+import functools
 import importlib.util
 import sys
 from dataclasses import replace
@@ -14,7 +17,45 @@ import siggame
 import siggame.cli
 from siggame.simulate import run_episode
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACING = _BENCH / "tracing.py"
+# reached through locals, not through an ``sg`` chain: ``eq = self.sg.equilibrium``
+# and ``checks.reimport(path, sg.scenario_io)``
+_THROUGH_LOCALS = {
+    ("equilibrium", "solve_bne"),
+    ("scenario_io", "read_trajectory"),
+    ("scenario_io", "format_trajectory"),
+}
+
+
+def _package_chains(tree):
+    """Every attribute chain rooted at ``sg`` or ``self.sg``, as a name tuple;
+    ``sg.cli.main`` gives ("cli",) and ("cli", "main")."""
+    chains = set()
+    for node in ast.walk(tree):
+        names, base = [], node
+        while isinstance(base, ast.Attribute):
+            names.append(base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id == "self" and names[-1:] == ["sg"]:
+            names.pop()
+        elif not (isinstance(base, ast.Name) and base.id == "sg"):
+            continue
+        if names:
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_run_resolves_every_package_name_it_calls():
+    chains = _package_chains(ast.parse((_BENCH / "run.py").read_text(encoding="utf-8")))
+    assert ("BeliefState",) in chains and ("cli", "main") in chains
+    missing = []
+    for chain in sorted(chains | _THROUGH_LOCALS):
+        try:
+            functools.reduce(getattr, chain, siggame)
+        except AttributeError:
+            missing.append(".".join(chain))
+    assert missing == []
 
 
 def test_installed_resolves_every_binding_and_restores_it(table1, monkeypatch):

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import siggame
 from siggame.cli import main
 from siggame.model import MALICIOUS
 from siggame.scenario_io import resolve_config_path, write_trajectory
@@ -437,3 +440,38 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code != 0
+
+
+# Saves table1 at horizon 1, then runs batch, diagnose and validate on it.
+_EVERY_FILE_COMMAND = """
+import sys
+from dataclasses import replace
+from siggame import cli
+from siggame.scenario_io import load_scenario, resolve_config_path, save_scenario
+config, batch = sys.argv[1] + "/table1.json", sys.argv[1] + "/batch"
+save_scenario(replace(load_scenario(resolve_config_path("table1")), horizon=1), config)
+episodes = [f"{batch}/episode_000{i}.csv" for i in range(2)]
+sys.exit(
+    cli.main(["batch", "--config", config, "--episodes", "2", "--outdir", batch])
+    or cli.main(["diagnose", "--in", *episodes])
+    or cli.main(["validate", "--config", config])
+)
+"""
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # a text read or write that falls back to the locale's encoding warns here
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        + ["-c", _EVERY_FILE_COMMAND, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=Path(siggame.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert sorted(p.name for p in (tmp_path / "batch").iterdir()) == [
+        "episode_0000.csv",
+        "episode_0001.csv",
+        "summary.json",
+    ]

@@ -102,7 +102,7 @@ class TestSubmartingaleMargin:
 
     @pytest.mark.parametrize("belief", [math.nan, 1.5, -0.2, math.inf])
     def test_belief_outside_unit_interval_raises(self, table1, belief):
-        message = re.escape(f"belief {belief!r} in state 'x_n' is not in [0, 1]")
+        message = re.escape(f"belief must lie in [0, 1], got {belief}")
         with pytest.raises(ValueError, match=message):
             submartingale_margin(table1, ("a_b", "a_m", "r_b"), "x_n", belief)
 

@@ -1,10 +1,13 @@
 import math
 import re
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from siggame.beliefs import BeliefState
+from siggame.equilibrium import NoPureEquilibriumError, expected_utilities, solve_bne
 from siggame.model import (
     Alphabets,
     Scenario,
@@ -131,15 +134,9 @@ def _edit_row(key, row):
             del table[key]
         else:
             table[key] = row
-        fields["kernel"] = TransitionKernel(alphabets=fields["alphabets"], table=table)
+        fields["kernel"] = TransitionKernel(alphabets=fields["kernel"].alphabets, table=table)
 
     return edit
-
-
-def _reorder_kernel_states(fields):
-    al = fields["alphabets"]
-    swapped = Alphabets(states=al.states[::-1], actions=al.actions, reactions=al.reactions)
-    fields["kernel"] = TransitionKernel(alphabets=swapped, table=fields["kernel"].table)
 
 
 def _edit_utility(name, key, value):
@@ -159,7 +156,6 @@ class TestScenarioConstruction:
             (_edit_row(NB, (1.0,)), f"row {NB} has 1 entries"),
             (_edit_row(("x_q", "a_b", "r_b"), (0.9, 0.1)), "row ('x_q', 'a_b', 'r_b') uses labels"),
             (_edit_row(("x_a", "a_m", "r_m"), None), "no row for ('x_a', 'a_m', 'r_m')"),
-            (_reorder_kernel_states, "kernel alphabets Alphabets(states=('x_a', 'x_n')"),
             # _Enumeration takes its horizon from a Scenario and relies on this
             (lambda fields: fields.update(horizon=0), "horizon must be >= 1, got 0"),
             (lambda fields: fields.update(initial_state="x_q"), "initial state 'x_q' not in"),
@@ -181,7 +177,6 @@ class TestScenarioConstruction:
             "short-row",
             "unknown-state",
             "missing-row",
-            "reordered",
             "horizon-0",
             "initial-state",
             "prior",
@@ -197,6 +192,33 @@ class TestScenarioConstruction:
         edit(fields)
         with pytest.raises(ValueError, match=re.escape(message)):
             Scenario(**fields)
+
+    def test_reordered_kernel_is_a_consistent_scenario(self, table1):
+        al = table1.alphabets
+        swapped = Alphabets(states=al.states[::-1], actions=al.actions, reactions=al.reactions)
+        table = {
+            key: tuple(row[al.state_index(x)] for x in swapped.states)
+            for key, row in table1.kernel.table.items()
+        }
+        scenario = replace(table1, kernel=TransitionKernel(alphabets=swapped, table=table))
+        assert scenario.alphabets is scenario.kernel.alphabets
+        assert scenario.alphabets.states == ("x_a", "x_n")
+        assert "alphabets" not in Scenario.__dataclass_fields__
+        for pi in (0.1, 0.5, 0.9):
+            belief = BeliefState(pi)
+            result, original = solve_bne(scenario, belief, "x_n"), solve_bne(table1, belief, "x_n")
+            values = (result.sender_value_benign, result.sender_value_malicious, result.receiver_value)
+            assert values == expected_utilities(scenario, result.profile, belief, "x_n")
+            assert result.profile.root_prescriptions() == original.profile.root_prescriptions()
+            assert result.multiplicity == original.multiplicity
+        # at 0.3 neither order has a pure equilibrium, and both fall back alike
+        errors = []
+        for sc in (scenario, table1):
+            with pytest.raises(NoPureEquilibriumError) as caught:
+                solve_bne(sc, BeliefState(0.3), "x_n")
+            errors.append(caught.value)
+        assert errors[0].fallback_regret == errors[1].fallback_regret
+        assert len({err.fallback_profile.root_prescriptions() for err in errors}) == 1
 
 
 class TestDistinguishability:

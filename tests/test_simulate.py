@@ -404,6 +404,21 @@ class TestRunBatch:
         with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
             run_batch(short_table1, 3, base_seed=1, workers=workers)
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_base_seed_checked_before_any_episode(self, short_table1, monkeypatch, base_seed):
+        # derive_episode_seed masks to 64 bits, so 2**64 would replay seed 0
+        def no_episodes(args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
+        with pytest.raises(ValueError, match="^base seed must fit in an unsigned 64-bit integer$"):
+            run_batch(short_table1, 3, base_seed)
+
+    def test_largest_base_seed_runs(self, short_table1):
+        summary, trajectories = run_batch(short_table1, 3, 2**64 - 1)
+        assert summary.base_seed == 2**64 - 1
+        assert [t.seed for t in trajectories] == [derive_episode_seed(2**64 - 1, i) for i in range(3)]
+
     @pytest.mark.parametrize("n_episodes, workers, pool_size", [(2, 4000, 2), (7, 3, 3)])
     def test_pool_never_larger_than_chunk_count(
         self, table1, inline_pool, caplog, n_episodes, workers, pool_size
