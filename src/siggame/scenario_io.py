@@ -1,12 +1,13 @@
 """Scenario files, trajectory CSV export, and report serialization.
 
 Scenario files are JSON, and each field takes its JSON type uncoerced (a
-JSON integer also serves as a number); a field the format does not name is
-an error, not ignored. Kernels may use the
-``reaction_independent`` shorthand (one row per state/action, expanded over
-reactions). Utility tables nest state -> action -> reaction; a number at any
-level is constant over the remaining levels and the key "*" matches every
-label at its level, with an explicit label overriding a wildcard.
+JSON integer also serves as a number, if a double holds it); a field the
+format does not name, or a key repeated within one object, is an error, not
+ignored. Kernels may use the ``reaction_independent`` shorthand (one row per
+state/action, expanded over reactions). Utility tables nest
+state -> action -> reaction; a number at any level is constant over the
+remaining levels and the key "*" matches every label at its level, with an
+explicit label overriding a wildcard.
 
 Trajectory CSVs have the fixed header
 ``k,state,action_b,action_m,applied_action,reaction,belief_m,bayes_coeff,agreement``
@@ -80,11 +81,26 @@ def _fields(doc: Any, where: str, required: tuple, optional: tuple = ()) -> list
 def _as(kind: type, node: Any, where: str) -> Any:
     """``node`` if it is a JSON value of ``kind``, or a format error naming
     the field. Nothing is coerced: a boolean is no number, and only a float
-    field takes a JSON integer, as the same number."""
+    field takes a JSON integer, as the same number, if a double holds it."""
     kinds = (int, float) if kind is float else kind
     if not isinstance(node, kinds) or (isinstance(node, bool) and kind is not bool):
         raise ScenarioFormatError(f"{where}: expected {kind.__name__}, got {node!r}")
-    return float(node) if kind is float else node
+    if kind is not float:
+        return node
+    try:
+        return float(node)
+    except OverflowError:
+        raise ScenarioFormatError(f"{where}: integer too large for a double") from None
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's mapping, or a format error naming a repeated key."""
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ScenarioFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _row(node: Any, where: str) -> tuple[float, ...]:
@@ -117,8 +133,9 @@ def _expand_utility(doc: Any, axes: tuple[tuple[str, ...], ...], where: str) -> 
 
     def assign(prefix: tuple, node: Any, depth: int) -> None:
         if isinstance(node, (int, float)) and not isinstance(node, bool):
+            value = _as(float, node, where)
             for rest in itertools.product(*axes[depth:]):
-                out[prefix + rest] = float(node)
+                out[prefix + rest] = value
             return
         if not isinstance(node, dict):
             raise ScenarioFormatError(f"{where}: expected number or mapping, got {node!r}")
@@ -221,16 +238,19 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file.
 
     Every ScenarioFormatError starts with the path, a file that does not
-    decode included; kernel defects name the offending rows. A failed action
-    distinguishability check is only a warning: downstream simulation stays
-    well defined, only the action-agreement guarantees lose their premise.
+    decode or holds a number literal too long to convert included; a key
+    repeated within one JSON object is an error, and kernel defects name the
+    offending rows. A failed action distinguishability check is only a
+    warning: downstream simulation stays well defined, only the
+    action-agreement guarantees lose their premise.
     """
     path = Path(path)
     try:
-        scenario = scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        scenario = scenario_from_dict(doc)
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    except (UnicodeDecodeError, ScenarioFormatError) as err:
+    except ValueError as err:  # a ScenarioFormatError or UnicodeDecodeError is one too
         raise ScenarioFormatError(f"{path}: {err}") from err
     ok, witnesses = check_distinguishability(scenario.kernel)
     if not ok:

@@ -1,8 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from siggame.model import MALICIOUS, TYPES, Alphabets, Scenario, TransitionKernel, UtilityTables
+from siggame.beliefs import BeliefState
+from siggame.equilibrium import StrategyTree, expected_utilities
+from siggame.model import (
+    BENIGN,
+    MALICIOUS,
+    TYPES,
+    Alphabets,
+    Scenario,
+    TransitionKernel,
+    UtilityTables,
+)
 from siggame.scenario_io import load_scenario, resolve_config_path
 
 
@@ -101,3 +112,42 @@ def random_scenario(al, horizon, rng, integer=False):
         true_type=MALICIOUS,
         horizon=horizon,
     )
+
+
+def brute_force_solve(scenario, pi, state):
+    """Solve one window by valuing every joint pure profile with
+    ``expected_utilities``: the tests' equilibrium oracle.
+
+    The trees are built here, apart from the solver's enumeration, in its
+    documented order: nodes by depth, then state order, labels in alphabet
+    order, and joint profiles nested as (benign, malicious, receiver tree).
+    A profile's regret is its larger sender deviation gain where its
+    receiver tree is a best response, and infinite elsewhere.
+
+    Returns the first profile of zero regret (or None), the number of such
+    profiles, the first profile of least regret (the fallback) and that
+    profile's (benign, malicious) deviation gains.
+    """
+    al, horizon = scenario.alphabets, scenario.horizon
+    nodes = [n for d in range(horizon) for n in itertools.product(al.states, repeat=d)]
+
+    def trees(labels):
+        return [dict(zip(nodes, seq)) for seq in itertools.product(labels, repeat=len(nodes))]
+
+    senders, receivers = trees(al.actions), trees(al.reactions)
+    profiles = [
+        StrategyTree(depth=horizon, sender={BENIGN: b, MALICIOUS: m}, receiver=r)
+        for b, m, r in itertools.product(senders, senders, receivers)
+    ]
+    belief = BeliefState(pi)
+    values = np.array([expected_utilities(scenario, p, belief, state) for p in profiles])
+    v_b, v_m, v_r = values.T.reshape(3, len(senders), len(senders), len(receivers))
+    gain_b = v_b.max(axis=0) - v_b
+    gain_m = v_m.max(axis=1) - v_m
+    receiver_best = v_r == v_r.max(axis=2, keepdims=True)
+    regret = np.where(receiver_best, np.maximum(gain_b, gain_m), np.inf).ravel()
+    first = int(regret.argmin())  # the first of least regret in enumeration order
+    fallback = profiles[first]
+    gains = (float(gain_b.flat[first]), float(gain_m.flat[first]))
+    equilibrium = fallback if regret[first] == 0.0 else None
+    return equilibrium, int(np.count_nonzero(regret == 0.0)), fallback, gains

@@ -47,12 +47,12 @@ import numpy as np
 import pytest
 
 import siggame
-from conftest import build_binary_scenario
+from conftest import brute_force_solve, build_binary_scenario
 from siggame.beliefs import BeliefState, posterior_malicious
 from siggame.cli import main
 from siggame.diagnostics import kl_decay_estimate, random_walk_belief, submartingale_margin
 from siggame.equilibrium import NoPureEquilibriumError, RecedingHorizonPolicy, solve_bne
-from siggame.model import BENIGN, MALICIOUS
+from siggame.model import MALICIOUS
 from siggame.scenario_io import load_scenario, resolve_config_path, write_batch
 from siggame.simulate import run_batch
 
@@ -122,28 +122,6 @@ def test_criterion_2_exact_submartingale_margins(table1):
     assert elapsed < 10.0
 
 
-def _brute_force_one_step(scenario, pi, x):
-    al = scenario.alphabets
-    us, ur = scenario.utilities.sender, scenario.utilities.receiver
-    for a_b in al.actions:
-        for a_m in al.actions:
-            for r in al.reactions:
-                vb = us[(BENIGN, x, a_b, r)]
-                vm = us[(MALICIOUS, x, a_m, r)]
-                vr = (1 - pi) * ur[(BENIGN, x, a_b, r)] + pi * ur[(MALICIOUS, x, a_m, r)]
-                if any(us[(BENIGN, x, alt, r)] > vb for alt in al.actions):
-                    continue
-                if any(us[(MALICIOUS, x, alt, r)] > vm for alt in al.actions):
-                    continue
-                if any(
-                    (1 - pi) * ur[(BENIGN, x, a_b, alt)] + pi * ur[(MALICIOUS, x, a_m, alt)] > vr
-                    for alt in al.reactions
-                ):
-                    continue
-                return (a_b, a_m, r)
-    return None
-
-
 def test_criterion_3_equilibrium_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(424242)
@@ -165,13 +143,15 @@ def test_criterion_3_equilibrium_oracle_equivalence():
         )
         pi = float(rng.uniform(0.05, 0.95))
         x = "x_n" if rng.random() < 0.5 else "x_a"
-        expected = _brute_force_one_step(scenario, pi, x)
+        expected, _, fallback, gains = brute_force_solve(scenario, pi, x)
         try:
-            got = solve_bne(scenario, BeliefState(pi), x).profile.root_prescriptions()
+            got = solve_bne(scenario, BeliefState(pi), x).profile
             existence["eq"] += 1
-        except NoPureEquilibriumError:
+        except NoPureEquilibriumError as err:
             got = None
             existence["none"] += 1
+            assert err.fallback_profile == fallback
+            assert err.fallback_regret == max(gains)
         assert got == expected
         agreements += 1
     elapsed = time.perf_counter() - start

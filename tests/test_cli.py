@@ -1,4 +1,6 @@
+import argparse
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import siggame
-from siggame.cli import main
+from siggame.cli import build_parser, main
 from siggame.model import MALICIOUS
 from siggame.scenario_io import resolve_config_path, write_trajectory
 from siggame.simulate import Trajectory
@@ -84,6 +86,42 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {bad}: document: unknown field 'horizn'"]
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"prior": 0.1', '"prior": 1' + "0" * 400, "prior: integer too large for a double"),
+            (
+                "[0.9, 0.1]",
+                "[1" + "0" * 400 + ", 0.1]",
+                "kernel.rows.x_n.a_b: integer too large for a double",
+            ),
+            # the decoder refuses a literal of over 4300 digits with a bare
+            # ValueError, whose message has no path
+            ('"prior": 0.1', '"prior": 1' + "0" * 5000, "Exceeds the limit (4300 digits)"),
+            ('"prior": 0.1', '"prior": 0.1, "prior": 0.9', "duplicate key 'prior'"),
+            ('"a_b": [0.9, 0.1]', '"a_b": [0.9, 0.1], "a_b": [0.5, 0.5]', "duplicate key 'a_b'"),
+            ('"r_b": 2.0', '"r_b": 2.0, "r_b": 3.0', "duplicate key 'r_b'"),
+        ],
+        ids=[
+            "prior-too-large",
+            "row-entry-too-large",
+            "literal-too-long",
+            "repeated-field",
+            "repeated-kernel-label",
+            "repeated-utility-label",
+        ],
+    )
+    def test_edited_file_is_one_error_line(self, table1_path, tmp_path, capsys, old, new, message):
+        text = Path(table1_path).read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(old, new))
+        assert main(["validate", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {bad}: {message}")
 
     def test_indistinguishable_kernel_reported_once(self, table1_path, tmp_path, capsys, recwarn):
         doc = json.loads(Path(table1_path).read_text())
@@ -475,3 +513,16 @@ def test_files_are_read_and_written_as_utf8(tmp_path):
         "episode_0001.csv",
         "summary.json",
     ]
+
+
+def test_readme_commands_parse():
+    # each command README shows parses, without running, and they cover
+    # every subcommand once
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("siggame ")]
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(argv[0] for argv in commands) == sorted(subparsers.choices)

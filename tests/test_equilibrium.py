@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labelled_alphabets, random_scenario
+from conftest import brute_force_solve, labelled_alphabets, random_scenario
 from siggame import equilibrium
 from siggame.beliefs import BeliefState
 from siggame.equilibrium import (
@@ -220,7 +220,9 @@ class TestSolve:
     def test_best_response_property(self, table1):
         for pi, state in ((0.1, "x_n"), (0.15, "x_a"), (0.7, "x_n"), (0.95, "x_a")):
             result = solve_bne(table1, BeliefState(pi), state)
-            _assert_mutual_best_response(table1, result, pi, state)
+            equilibrium, count, _, _ = brute_force_solve(table1, pi, state)
+            assert result.profile == equilibrium
+            assert result.multiplicity == count
 
     def test_constant_shift_leaves_roots_unchanged(self, table1):
         from dataclasses import replace
@@ -253,64 +255,21 @@ class TestSolve:
         # the defender-anchored approximation pools the malicious root
         assert err.fallback_profile.root_prescriptions() == ("a_b", "a_b", "r_b")
         assert err.fallback_regret == pytest.approx(0.05, abs=1e-9)
+        _, _, fallback, gains = brute_force_solve(table1, 0.35, "x_n")
+        assert err.fallback_profile == fallback
+        assert err.fallback_regret == max(gains)
 
     def test_equilibrium_set_matches_direct_scan(self, table1):
         """Count mutual best responses by scanning every joint tree through
         the public evaluator; the solver must agree on existence and count."""
         for pi, state, expected in ((0.1, "x_n", 16), (0.35, "x_n", 0)):
-            count = _direct_equilibrium_count(table1, pi, state)
+            _, count, _, _ = brute_force_solve(table1, pi, state)
             assert count == expected
             if expected:
                 assert solve_bne(table1, BeliefState(pi), state).multiplicity == expected
             else:
                 with pytest.raises(NoPureEquilibriumError):
                     solve_bne(table1, BeliefState(pi), state)
-
-
-def _direct_equilibrium_count(scenario, pi, state):
-    belief = BeliefState(pi)
-    enum = _Enumeration(scenario.alphabets, scenario.horizon)
-    nb, nr = len(enum.sender_branches), len(enum.receiver_branches)
-    values = {}
-    for ib, im, ir in itertools.product(range(nb), range(nb), range(nr)):
-        values[(ib, im, ir)] = expected_utilities(scenario, enum.profile(ib, im, ir), belief, state)
-    count = 0
-    for (ib, im, ir), (vb, vm, vr) in values.items():
-        if any(values[(alt, im, ir)][0] > vb for alt in range(nb)):
-            continue
-        if any(values[(ib, alt, ir)][1] > vm for alt in range(nb)):
-            continue
-        if any(values[(ib, im, alt)][2] > vr for alt in range(nr)):
-            continue
-        count += 1
-    return count
-
-
-def _assert_mutual_best_response(scenario, result, pi, state):
-    belief = BeliefState(pi)
-    al = scenario.alphabets
-    enum = _Enumeration(al, scenario.horizon)
-    sender_trees = [enum.tree(branch, al.actions) for branch in enum.sender_branches]
-    receiver_trees = [enum.tree(branch, al.reactions) for branch in enum.receiver_branches]
-    profile = result.profile
-    v_b, v_m, v_r = expected_utilities(scenario, profile, belief, state)
-    for branch in sender_trees:
-        alt = StrategyTree(
-            depth=profile.depth,
-            sender={BENIGN: branch, MALICIOUS: profile.sender[MALICIOUS]},
-            receiver=profile.receiver,
-        )
-        assert expected_utilities(scenario, alt, belief, state)[0] <= v_b + 1e-12
-    for branch in sender_trees:
-        alt = StrategyTree(
-            depth=profile.depth,
-            sender={BENIGN: profile.sender[BENIGN], MALICIOUS: branch},
-            receiver=profile.receiver,
-        )
-        assert expected_utilities(scenario, alt, belief, state)[1] <= v_m + 1e-12
-    for branch in receiver_trees:
-        alt = StrategyTree(depth=profile.depth, sender=profile.sender, receiver=branch)
-        assert expected_utilities(scenario, alt, belief, state)[2] <= v_r + 1e-12
 
 
 # (states, actions, reactions) label counts per horizon, 2-3 labels each,
@@ -551,48 +510,13 @@ class TestRegretStep:
 
 
 class TestBruteForceCrossCheck:
-    """Single-step games against an independently coded direct argmax."""
-
-    @staticmethod
-    def brute_force(scenario, pi, x):
-        """The first pure equilibrium in enumeration order (or None), plus
-        the defender-anchored fallback: among receiver-best profiles, the
-        first that minimises the larger sender deviation gain, with that gain."""
-        al = scenario.alphabets
-        us, ur = scenario.utilities.sender, scenario.utilities.receiver
-        equilibrium = fallback = None
-        least = float("inf")
-        for a_b in al.actions:
-            for a_m in al.actions:
-                for r in al.reactions:
-                    vb = us[(BENIGN, x, a_b, r)]
-                    vm = us[(MALICIOUS, x, a_m, r)]
-                    vr = (1 - pi) * ur[(BENIGN, x, a_b, r)] + pi * ur[(MALICIOUS, x, a_m, r)]
-                    if any(
-                        (1 - pi) * ur[(BENIGN, x, a_b, alt)] + pi * ur[(MALICIOUS, x, a_m, alt)]
-                        > vr
-                        for alt in al.reactions
-                    ):
-                        continue
-                    gain_b = max(us[(BENIGN, x, alt, r)] for alt in al.actions) - vb
-                    gain_m = max(us[(MALICIOUS, x, alt, r)] for alt in al.actions) - vm
-                    if max(gain_b, gain_m) < least:
-                        fallback, least = (a_b, a_m, r), max(gain_b, gain_m)
-                    if equilibrium is not None:
-                        continue
-                    if any(us[(BENIGN, x, alt, r)] > vb for alt in al.actions):
-                        continue
-                    if any(us[(MALICIOUS, x, alt, r)] > vm for alt in al.actions):
-                        continue
-                    equilibrium = (a_b, a_m, r)
-        return equilibrium, fallback, least
+    """Single-step games on random tables against ``brute_force_solve``."""
 
     def test_agreement_on_random_tables(self, scenario_builder):
         rng = np.random.default_rng(2718)
         hits = {"eq": 0, "none": 0}
-        # 60 draws include fallbacks with both sender gains positive (draws
-        # 31 and 54), where the larger gain differs from, say, their sum
-        for _ in range(60):
+        both_gains = []  # fallbacks where the larger gain differs from, say, their sum
+        for draw in range(60):
             sender_vals = {}
             receiver_vals = {}
             scenario = scenario_builder(
@@ -612,19 +536,22 @@ class TestBruteForceCrossCheck:
             )
             pi = float(rng.uniform(0.05, 0.95))
             x = "x_n" if rng.random() < 0.5 else "x_a"
-            expected, fallback, least = self.brute_force(scenario, pi, x)
+            expected, _, fallback, gains = brute_force_solve(scenario, pi, x)
             try:
-                got = solve_bne(scenario, BeliefState(pi), x).profile.root_prescriptions()
+                got = solve_bne(scenario, BeliefState(pi), x).profile
                 hits["eq"] += 1
             except NoPureEquilibriumError as err:
                 got = None
                 hits["none"] += 1
-                assert err.fallback_profile.root_prescriptions() == fallback
-                assert err.fallback_regret == least > 0.0
+                assert err.fallback_profile == fallback
+                assert err.fallback_regret == max(gains) > 0.0
+                if min(gains) > 0.0:
+                    both_gains.append(draw)
             assert got == expected
         # the random draw should exercise both outcomes
         assert hits["eq"] > 0
         assert hits["none"] > 0
+        assert both_gains == [31, 54]
 
 
 class TestRecedingHorizonPolicy:

@@ -120,6 +120,16 @@ class TestScenarioErrors:
                 "kernel.rows.x_n.a_b.r_b",
                 lambda doc: doc["kernel"]["rows"]["x_n"]["a_b"].update(r_b=[True, 0]),
             ),
+            # a JSON integer is a number only if a double holds it
+            ("prior", lambda doc: doc.update(prior=10**400)),
+            (
+                "kernel.rows.x_n.a_b.r_b",
+                lambda doc: doc["kernel"]["rows"]["x_n"]["a_b"].update(r_b=[10**400, 0]),
+            ),
+            (
+                "utilities.sender.benign",
+                lambda doc: doc["utilities"]["sender"]["benign"]["x_n"].update(a_b=-(10**400)),
+            ),
         ],
         ids=[
             "rows-list",
@@ -135,6 +145,9 @@ class TestScenarioErrors:
             "reactions-string",
             "reaction-independent-string",
             "row-entry-bool",
+            "prior-too-large",
+            "row-entry-too-large",
+            "utility-too-large",
         ],
     )
     def test_wrong_json_type_names_field(self, table1, field, edit):
