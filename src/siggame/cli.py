@@ -18,7 +18,7 @@ from .diagnostics import (
     convergence_report,
     random_walk_belief,
 )
-from .equilibrium import NoPureEquilibriumError, solve_bne
+from .equilibrium import NoPureEquilibriumError, RecedingHorizonPolicy, solve_bne
 from .model import check_distinguishability
 from .scenario_io import (
     check_outdir,
@@ -105,6 +105,7 @@ def _cmd_validate(args) -> int:
         # the distinguishability warning is printed below, on stdout
         warnings.simplefilter("ignore", UserWarning)
         scenario = _load(args.config)
+    RecedingHorizonPolicy(scenario)  # a window that no command could solve fails here
     print("kernel: ok")
     ok, witnesses = check_distinguishability(scenario.kernel)
     if ok:
@@ -205,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (OSError, ValueError) as err:  # a ScenarioFormatError is a ValueError
+    except (OSError, ValueError, MemoryError) as err:  # a ScenarioFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,8 @@ each block's best responses and least regret before moving on. No regret in a
 benign row is below the row's least benign deviation gain, a belief-free
 bound, so the pass reads the rows in order of that bound and stops once no
 row left can beat the least regret found. No receiver tensor is kept, and
-the pass builds no array with one entry per joint profile; the certifier
-fills again only the rows it reads.
+the pass builds no array with one entry per joint profile; a proof fills
+again only the rows it reads.
 ``expected_utilities`` values a single profile with a separate scalar walk
 over the scenario's label-keyed tables and serves as the independent oracle;
 both add the same terms in the same order, so they agree bit for bit.
@@ -39,7 +39,7 @@ then flat index, whose receiver branch is a best response, and the belief
 moves the receiver values only. The guarded Bayes step is monotone in the
 belief, so the scan's own belief walk, run from the scanned belief and from
 an interval's other end, bounds every receiver term over the interval. From
-those bounds, path by path, ``_WindowScan.certifier`` proves that the choice
+those bounds, path by path, ``_WindowScan.prove`` proves that the choice
 stays a best response and that no profile ahead of it becomes one. It tries a
 ladder of ever shorter intervals on each side, several rungs to one walk.
 Each state keeps the intervals proven so far, and a belief inside one is
@@ -60,7 +60,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -298,11 +298,12 @@ class _WindowScan:
     ``row_order``, the rows sorted by bound and then by row. ``_walk`` is the
     belief walk: ``scan`` runs it at one belief and then fills the receiver
     values block by block (``_blocks``) in ``row_order``, finding the least
-    regret, until no row left can hold a smaller one. ``certifier`` proves a
-    scan's choice over a ladder of belief intervals around the scanned
-    belief, the rungs; ``_term_bounds`` runs one walk from the scanned belief
-    and a group of rung ends, and ``_cells`` reads which grid cells tie off
-    the tie table, ``_differs``, built once per window.
+    regret, until no row left can hold a smaller one. ``prove`` builds a
+    ladder of belief intervals on each side of the scanned belief, the
+    rungs, and proves the scan's choice on the longest rung it can;
+    ``_term_bounds`` runs one walk from the scanned belief and a group of
+    rung ends, and ``_cells`` reads which grid cells tie off the tie table,
+    ``_differs``, built once per window.
 
     The constructor builds the window's ``enum`` and reads the scenario's
     kernel rows and utility tables into index arrays, ``P[x, a, r, x']`` and
@@ -423,6 +424,15 @@ class _WindowScan:
                     row += spread[s]
             yield rows[lo : lo + per_block], block
 
+    def _receiver_terms(self, pi: float):
+        """Each grid cell's receiver term at belief ``pi``, summed along
+        ``_walk`` in ``_path_terms``' order."""
+        r_b_sum = r_m_sum = 0.0
+        for g_b, g_m, beta in self._walk(pi):
+            r_b_sum = r_b_sum + g_b * (1.0 - beta)
+            r_m_sum = r_m_sum + g_m * beta
+        return (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon
+
     def scan(self, pi: float):
         """Value the joint profiles at belief ``pi``; find the first of least regret.
 
@@ -434,8 +444,8 @@ class _WindowScan:
         number of profiles of zero regret.
 
         Each path's terms are spread once over (benign sequence, malicious
-        branch, receiver branch), the spreads that ``_blocks`` and
-        ``certifier`` read. The receiver values are then filled a block of
+        branch, receiver branch), the spreads that ``_blocks`` and ``prove``
+        read. The receiver values are then filled a block of
         benign rows at a time, and a block's best responses and least regret
         are found while it is still in cache. No receiver tensor is kept:
         the largest arrays a scan builds are the spreads and one block.
@@ -450,11 +460,7 @@ class _WindowScan:
         only in a row of bound 0, and all of those are read when the least
         regret is 0, so the zero count is exact.
         """
-        r_b_sum = r_m_sum = 0.0
-        for g_b, g_m, beta in self._walk(pi):
-            r_b_sum = r_b_sum + g_b * (1.0 - beta)
-            r_m_sum = r_m_sum + g_m * beta
-        t_r = (self.w_b * r_b_sum + self.w_m * r_m_sum) / self.horizon
+        t_r = self._receiver_terms(pi)
         seq_s, seq_r = self.sequences
         spreads = [t.take(r, 2).take(s, 1) for t, s, r in zip(t_r, seq_s, seq_r)]
         nb, _, nr = self.shape
@@ -585,21 +591,25 @@ class _WindowScan:
         keep[i] = True
         return rows[keep], mask[keep]
 
-    def certifier(self, spreads, choice, pi: float) -> Callable[[list[float]], int | None] | None:
-        """A test of whether ``scan`` picks ``choice`` at every belief
-        between ``pi`` and an end; ``spreads`` and ``choice`` are ``scan``'s
-        output at ``pi``. None if a value difference that the test needs is
-        within the margin already at ``pi``.
+    def prove(self, spreads, choice, pi: float, lo: float, hi: float):
+        """Prove that ``scan`` picks ``choice`` around ``pi`` within [``lo``,
+        ``hi``]; ``spreads`` and ``choice`` are ``scan``'s output at ``pi``.
+        Returns (ends, rungs tried, sides proven), the ends None if no side
+        holds.
 
-        The test takes a ladder of ends on one side of ``pi``, ordered from
-        the farthest, and returns the index of the first end whose interval
-        it proves, or None. It proves the rungs in groups of
-        ``_RUNGS_PER_WALK``, the next group only when no rung of the last one
-        holds: one ``_term_bounds`` walk per group, and the rival check and
-        the drift of each rung as arrays over the group.
+        Each side's ladder of ends is known before any proof: the reach is
+        first the distance from ``pi`` to that side's bound, then halved
+        while it is at least ``MIN_REACH``, and the ends are ``max(lo, pi -
+        reach)`` below ``pi`` and ``min(hi, pi + reach)`` above it. A side
+        keeps its first rung that holds and tallies the rungs up to it, or
+        the whole ladder. The rungs go ``_RUNGS_PER_WALK`` to one
+        ``_term_bounds`` walk, the next group only when no rung of the last
+        one holds, with the rival check and the drift as arrays over the
+        group. If a value difference that a proof needs is within the margin
+        already at ``pi``, no rung is tried: (None, 0, 0).
 
         The profiles ahead are ``_ahead``'s mask, and the receiver values at
-        ``pi`` are filled again by ``_blocks`` on its rows alone; the test
+        ``pi`` are filled again by ``_blocks`` on its rows alone; the proof
         keeps of them each pair's best response and, in mask order, each
         profile's gap to it, not the values.
 
@@ -641,7 +651,7 @@ class _WindowScan:
         rival_ties = ~rival_cells[2].any(axis=0)
         margin = self._margin
         if np.any(~rival_ties & (choice_gaps <= margin)) or np.any(gaps <= margin):
-            return None  # then no interval around the scanned belief is provable
+            return None, 0, 0  # then no interval around the scanned belief is provable
         flat = np.flatnonzero(ahead)  # each gap's profile, flat within ``ahead``
         n_paths = len(self.dead)
         chunk = _BLOCK_BYTES // (8 * n_paths)
@@ -662,18 +672,27 @@ class _WindowScan:
                     return False
             return True
 
-        def first_proven(ends: list[float]) -> int | None:
-            for g in range(0, len(ends), _RUNGS_PER_WALK):
-                group = ends[g : g + _RUNGS_PER_WALK]
+        ends, tried, proven = [pi, pi], 0, 0
+        for side, bound in enumerate((lo, hi)):
+            reach, ladder = abs(bound - pi), []
+            while reach >= MIN_REACH:
+                ladder.append(max(lo, pi - reach) if side == 0 else min(hi, pi + reach))
+                reach /= 2.0
+            for g in range(0, len(ladder), _RUNGS_PER_WALK):
+                group = ladder[g : g + _RUNGS_PER_WALK]
                 t_lo, t_hi = (t.reshape(len(group), -1) for t in self._term_bounds(pi, group))
                 best_kept = np.all(rival_ties | (upper(t_lo, t_hi, rival_cells) <= -margin), axis=1)
                 drift = (t_hi - t_lo).reshape(len(group), n_paths, -1).max(axis=2).sum(axis=1)
-                for j in np.flatnonzero(best_kept).tolist():
-                    if holds(t_lo[j], t_hi[j], float(drift[j])):
-                        return g + j
-            return None
-
-        return first_proven
+                kept = np.flatnonzero(best_kept).tolist()
+                j = next((j for j in kept if holds(t_lo[j], t_hi[j], float(drift[j]))), None)
+                if j is not None:
+                    tried += g + j + 1
+                    proven += 1
+                    ends[side] = group[j]
+                    break
+            else:
+                tried += len(ladder)
+        return (None if ends[0] == ends[1] else tuple(ends)), tried, proven
 
 
 def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> EquilibriumResult:
@@ -756,16 +775,16 @@ class RecedingHorizonPolicy:
     intervals on which ``_WindowScan.scan`` is proven to pick one profile,
     filled in as ``decide`` is called. A belief inside a stored interval is
     answered by a bisect. Any other belief is scanned, which re-runs only the
-    window's belief walk and receiver pass. The scan then tries to prove its
-    choice on each side of the belief along a ladder of ends (see
-    ``_certify``); the first rung proven on each side gives that side's end,
-    and the two sides make one stored interval. Beliefs 0 and 1, which
-    Bayes' rule keeps, are stored alone after one scan, and so is a belief
-    that neither side covers, such as a region edge, while the state's table
-    holds fewer than ``MAX_INTERVALS`` intervals; past that such a belief is
-    scanned each time, so the tables stay bounded. An oversized window fails
-    the constructor; a belief outside [0, 1], or NaN, or an unknown state
-    label raises ValueError.
+    window's belief walk and receiver pass. ``_WindowScan.prove`` then tries
+    to prove its choice on each side of the belief, along a ladder of ends
+    in the belief's uncovered stretch; the first rung proven on each side
+    gives that side's end, and the two sides make one stored interval.
+    Beliefs 0 and 1, which Bayes' rule keeps, are stored alone after one
+    scan, and so is a belief that neither side covers, such as a region
+    edge, while the state's table holds fewer than ``MAX_INTERVALS``
+    intervals; past that such a belief is scanned each time, so the tables
+    stay bounded. An oversized window fails the constructor; a belief
+    outside [0, 1], or NaN, or an unknown state label raises ValueError.
 
     ``counts`` tallies scans, proofs tried and accepted, and scanned beliefs
     that no proof covered. Each stored interval is logged at DEBUG level on
@@ -790,44 +809,21 @@ class RecedingHorizonPolicy:
 
     def _scan(self, table: _RegionTable, pi_m: float, state: str) -> tuple[str, str, str]:
         BeliefState(pi_m)  # NaN too; such a belief is never inside an interval
-        spreads, choice, _, least, _ = table.window.scan(pi_m)
-        self.counts["scans"] += 1
-        entry = (table.window.enum.profile(*choice).root_prescriptions(), least)
-        ends = (pi_m, pi_m) if pi_m in (0.0, 1.0) else self._certify(table, spreads, choice, pi_m)
+        window, counts = table.window, self.counts
+        spreads, choice, _, least, _ = window.scan(pi_m)
+        counts["scans"] += 1
+        entry = (window.enum.profile(*choice).root_prescriptions(), least)
+        if pi_m in (0.0, 1.0):
+            ends = (pi_m, pi_m)
+        else:
+            ends, tried, proven = window.prove(spreads, choice, pi_m, *table.gap(pi_m))
+            counts["proofs_tried"] += tried
+            counts["proofs_accepted"] += proven
         if ends is None:
-            self.counts["uncovered"] += 1
+            counts["uncovered"] += 1
             if len(table.edges) < 2 * MAX_INTERVALS:
                 ends = (pi_m, pi_m)
         if ends is not None:
             table.insert(*ends, entry)
             _log.debug("%s: [%r, %r] plays %s, least regret %r", state, *ends, *entry)
         return entry[0]
-
-    def _certify(self, table, spreads, choice, pi):
-        """The proven interval around ``pi`` in its uncovered stretch, or None.
-
-        Each side's ladder of ends is known before any proof: the reach is
-        first the distance to the end of the stretch, then halved while it is
-        at least ``MIN_REACH``, and the ends are ``max(lo, pi - reach)`` below
-        ``pi`` and ``min(hi, pi + reach)`` above it. A side keeps its first
-        rung that proves, and ``counts`` tallies the rungs up to that one, or
-        the whole ladder if none does.
-        """
-        first_proven = table.window.certifier(spreads, choice, pi)
-        if first_proven is None:
-            return None
-        counts = self.counts
-        lo, hi = table.gap(pi)
-        ends = [pi, pi]
-        for side, bound in enumerate((lo, hi)):
-            reach = abs(bound - pi)
-            ladder = []
-            while reach >= MIN_REACH:
-                ladder.append(max(lo, pi - reach) if side == 0 else min(hi, pi + reach))
-                reach /= 2.0
-            k = first_proven(ladder)
-            counts["proofs_tried"] += len(ladder) if k is None else k + 1
-            if k is not None:
-                counts["proofs_accepted"] += 1
-                ends[side] = ladder[k]
-        return None if ends[0] == ends[1] else tuple(ends)

@@ -45,6 +45,16 @@ def table1_path():
     return str(resolve_config_path("table1"))
 
 
+def _error_line(argv, capsys):
+    """The one stderr line of ``main(argv)``, which must exit 1 and print
+    nothing on stdout."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    return line
+
+
 class TestValidateCommand:
     def test_good_config_exits_zero(self, table1_path, capsys):
         assert main(["validate", "--config", table1_path]) == 0
@@ -57,10 +67,7 @@ class TestValidateCommand:
         doc["kernel"]["rows"]["x_n"]["a_b"] = [0.5, 0.6]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
+        line = _error_line(["validate", "--config", str(bad)], capsys)
         assert line.startswith(f"error: {bad}: kernel validation failed: ")
         assert "('x_n', 'a_b', 'r_b')" in line
 
@@ -82,10 +89,8 @@ class TestValidateCommand:
         doc["horizn"] = doc.pop("horizon")
         bad = tmp_path / "typo.json"
         bad.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {bad}: document: unknown field 'horizn'"]
+        line = _error_line(["validate", "--config", str(bad)], capsys)
+        assert line == f"error: {bad}: document: unknown field 'horizn'"
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -117,10 +122,7 @@ class TestValidateCommand:
         assert text.count(old) == 1
         bad = tmp_path / "bad.json"
         bad.write_text(text.replace(old, new))
-        assert main(["validate", "--config", str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
+        line = _error_line(["validate", "--config", str(bad)], capsys)
         assert line.startswith(f"error: {bad}: {message}")
 
     def test_indistinguishable_kernel_reported_once(self, table1_path, tmp_path, capsys, recwarn):
@@ -163,6 +165,18 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_episode_too_long_to_allocate_is_one_error_line(self, table1_path, capsys, monkeypatch):
+        # an episode draws all its uniforms at once; the stand-in raises what
+        # numpy raises for 10**11 steps, without asking for the memory
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+        def run_episode(scenario, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("siggame.cli.run_episode", run_episode)
+        argv = ["simulate", "--config", table1_path, "--steps", "100000000000"]
+        assert _error_line(argv, capsys) == f"error: {message}"
+
     def test_stdout_output(self, table1_path, capsys):
         assert main(["simulate", "--config", table1_path, "--seed", "9", "--steps", "5"]) == 0
         out = capsys.readouterr().out
@@ -192,11 +206,7 @@ class TestFileErrors:
         file = tmp_path / "file"
         file.write_text("")
         argv = [arg.format(dir=tmp_path, file=file) for arg in argv]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("error: ")
+        assert _error_line(argv, capsys).startswith("error: ")
 
     @pytest.mark.parametrize(
         "command, suffix",
@@ -207,20 +217,13 @@ class TestFileErrors:
         # a UnicodeDecodeError is a ValueError, but its message has no path
         bad = tmp_path / f"bad{suffix}"
         bad.write_bytes(b"\xff\xfe{}")
-        assert main([*command.split(), str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith(f"error: {bad}: ")
+        assert _error_line([*command.split(), str(bad)], capsys).startswith(f"error: {bad}: ")
 
     def test_directory_config_never_reads_a_sibling_file(self, table1_path, tmp_path, capsys):
         # an existing path is read as given, so ``d`` never resolves to ``d.json``
         (tmp_path / "d").mkdir()
         (tmp_path / "d.json").write_text(Path(table1_path).read_text())
-        assert main(["validate", "--config", str(tmp_path / "d")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
+        line = _error_line(["validate", "--config", str(tmp_path / "d")], capsys)
         assert line.startswith("error: ")
 
 
@@ -307,62 +310,50 @@ class TestBatchAndDiagnoseCommands:
         capsys.readouterr()
         before = _tree_bytes(outdir)
         monkeypatch.setattr("siggame.cli.run_batch", None)  # no episode may run
-        assert main([*args, "--episodes", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
+        assert _error_line([*args, "--episodes", "2"], capsys) == (
             f"error: {outdir}: already holds episode_0000.csv; write the batch to a new directory"
-        ]
+        )
         assert _tree_bytes(outdir) == before
 
-    def test_batch_window_below_one_writes_nothing(self, table1_path, tmp_path, capsys):
+    def _batch_writes_nothing(self, table1_path, tmp_path, capsys, flag, value, message):
         outdir = tmp_path / "batch"
-        args = ["batch", "--config", table1_path, "--episodes", "2", "--outdir", str(outdir)]
-        assert main([*args, "--window", "0"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["error: window must be >= 1, got 0"]
+        args = ["batch", "--config", table1_path, "--episodes", "3", "--steps", "40"]
+        argv = [*args, flag, value, "--outdir", str(outdir)]
+        assert _error_line(argv, capsys) == f"error: {message}"
         assert not outdir.exists()
 
+    def test_batch_window_below_one_writes_nothing(self, table1_path, tmp_path, capsys):
+        message = "window must be >= 1, got 0"
+        self._batch_writes_nothing(table1_path, tmp_path, capsys, "--window", "0", message)
+
     def test_batch_workers_below_one_writes_nothing(self, table1_path, tmp_path, capsys):
-        outdir = tmp_path / "batch"
-        args = ["batch", "--config", table1_path, "--episodes", "2", "--outdir", str(outdir)]
-        assert main([*args, "--workers", "0"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["error: workers must be >= 1, got 0"]
-        assert not outdir.exists()
+        message = "workers must be >= 1, got 0"
+        self._batch_writes_nothing(table1_path, tmp_path, capsys, "--workers", "0", message)
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "1", "5"])
     def test_batch_tol_outside_unit_interval_writes_nothing(
         self, table1_path, tmp_path, capsys, tol
     ):
-        outdir = tmp_path / "batch"
-        args = ["batch", "--config", table1_path, "--episodes", "3", "--steps", "40"]
-        assert main([*args, "--tol", tol, "--outdir", str(outdir)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: tol must lie in (0, 1), got {float(tol)!r}"]
-        assert not outdir.exists()
+        message = f"tol must lie in (0, 1), got {float(tol)!r}"
+        self._batch_writes_nothing(table1_path, tmp_path, capsys, "--tol", tol, message)
+
+    def _diagnose_refuses(self, table1_path, tmp_path, capsys, flag, value, message):
+        episode = tmp_path / "episode.csv"
+        args = ["simulate", "--config", table1_path, "--steps", "30", "--out", str(episode)]
+        assert main(args) == 0
+        argv = ["diagnose", "--in", str(episode), flag, value]
+        assert _error_line(argv, capsys) == f"error: {message}"
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "1", "5"])
     def test_diagnose_tol_outside_unit_interval_exits_one(
         self, table1_path, tmp_path, capsys, tol
     ):
-        episode = tmp_path / "episode.csv"
-        args = ["simulate", "--config", table1_path, "--steps", "30", "--out", str(episode)]
-        assert main(args) == 0
-        assert main(["diagnose", "--in", str(episode), "--tol", tol]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: tol must lie in (0, 1), got {float(tol)!r}"]
+        message = f"tol must lie in (0, 1), got {float(tol)!r}"
+        self._diagnose_refuses(table1_path, tmp_path, capsys, "--tol", tol, message)
 
     def test_diagnose_checks_tol_before_reading_any_file(self, tmp_path, capsys):
-        missing = tmp_path / "missing.csv"
-        assert main(["diagnose", "--in", str(missing), "--tol", "nan"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["error: tol must lie in (0, 1), got nan"]
+        argv = ["diagnose", "--in", str(tmp_path / "missing.csv"), "--tol", "nan"]
+        assert _error_line(argv, capsys) == "error: tol must lie in (0, 1), got nan"
 
     def test_short_trajectory_error_names_file(self, table1_path, tmp_path, capsys):
         short = tmp_path / "short.csv"
@@ -375,13 +366,8 @@ class TestBatchAndDiagnoseCommands:
 
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_window_below_one_exits_one(self, table1_path, tmp_path, capsys, window):
-        episode = tmp_path / "episode.csv"
-        args = ["simulate", "--config", table1_path, "--steps", "30", "--out", str(episode)]
-        assert main(args) == 0
-        assert main(["diagnose", "--in", str(episode), "--window", window]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: window must be >= 1, got {window}"]
+        message = f"window must be >= 1, got {window}"
+        self._diagnose_refuses(table1_path, tmp_path, capsys, "--window", window, message)
 
 
 def _with_horizon(name, horizon, directory):
@@ -436,18 +422,16 @@ class TestOversizedWindow:
             ["equilibrium", "--belief", "0.1", "--state", "x_n"],
             ["simulate", "--steps", "5"],
             ["batch", "--episodes", "2", "--steps", "30", "--outdir", "{outdir}"],
+            ["validate"],
         ],
-        ids=["equilibrium", "simulate", "batch"],
+        ids=["equilibrium", "simulate", "batch", "validate"],
     )
     def test_one_error_line_names_the_limit(self, command, tmp_path, capsys):
         # a horizon-13 window's count has more digits than Python formats by default
         config = _with_horizon("table1", 13, tmp_path)
         outdir = tmp_path / "out"
         argv = [command[0], "--config", config, *command[1:]]
-        assert main([arg.format(outdir=outdir) for arg in argv]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
+        line = _error_line([arg.format(outdir=outdir) for arg in argv], capsys)
         assert line.startswith("error: ")
         assert "joint profiles exceed the exhaustive-scan limit of 10000000" in line
         assert not outdir.exists()

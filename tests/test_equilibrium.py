@@ -618,16 +618,18 @@ class TestRecedingHorizonPolicy:
         ],
     )
     def test_pinned_counts(self, request, config, horizon, episodes, counts, intervals):
-        # one policy over the episodes of a one-worker ``run_batch``; the
-        # counts were recorded when every rung was proven by a walk of its
-        # own, so a ladder proven in groups tries and accepts the same rungs
+        # one policy over the episodes of a one-worker ``run_batch``; a
+        # ladder proven a rung per walk or in groups tries and accepts the
+        # same rungs, so both give the same counts
         scenario = _with_horizon(request.getfixturevalue(config), horizon)
-        policy = RecedingHorizonPolicy(scenario)
-        for i in range(episodes):
-            run_episode(scenario, derive_episode_seed(scenario.base_seed, i), policy)
         keys = ("scans", "proofs_tried", "proofs_accepted", "uncovered")
-        assert policy.counts == dict(zip(keys, counts))
-        assert {s: len(t.edges) // 2 for s, t in policy._regions.items()} == intervals
+        for rungs in (1, 4):
+            policy = RecedingHorizonPolicy(scenario)
+            with mock.patch.object(equilibrium, "_RUNGS_PER_WALK", rungs):
+                for i in range(episodes):
+                    run_episode(scenario, derive_episode_seed(scenario.base_seed, i), policy)
+            assert policy.counts == dict(zip(keys, counts))
+            assert {s: len(t.edges) // 2 for s, t in policy._regions.items()} == intervals
 
     def test_debug_logging_leaves_trajectories_unchanged(self, table1, caplog):
         scenario = _with_horizon(table1, 2)
@@ -847,27 +849,6 @@ class TestRegionTable:
                 assert table.gap(pi) == (lo, math.nextafter(hi, 0.0))
 
 
-def _ladder(pi, end, rungs):
-    """At most ``rungs`` ends from ``end`` back toward ``pi``, the reach
-    halved at each while it is at least ``MIN_REACH``, as
-    ``RecedingHorizonPolicy._certify`` builds one side's ladder."""
-    reach, ends = abs(end - pi), []
-    while reach >= equilibrium.MIN_REACH and len(ends) < rungs:
-        ends.append(max(end, pi - reach) if end < pi else min(end, pi + reach))
-        reach /= 2.0
-    return ends
-
-
-def _receiver_terms(window, pi):
-    """Each grid cell's receiver term at belief ``pi``, summed over
-    ``_walk`` as ``_WindowScan.scan`` sums it."""
-    r_b_sum = r_m_sum = 0.0
-    for g_b, g_m, beta in window._walk(pi):
-        r_b_sum = r_b_sum + g_b * (1.0 - beta)
-        r_m_sum = r_m_sum + g_m * beta
-    return (window.w_b * r_b_sum + window.w_m * r_m_sum) / window.horizon
-
-
 def _ahead_reference(window, ib, im, ir):
     """The profiles ahead of (ib, im, ir), as a mask of the window's shape,
     read off the whole tensor of scan keys: the larger sender gain, then the
@@ -886,7 +867,7 @@ class TestCertifiedIntervals:
     def test_term_bounds_bracket_scan_terms(self, drawn, other_pi, fractions):
         scenario, pi, state, _ = drawn
         window = _WindowScan(scenario, state)
-        ends = _ladder(pi, other_pi, 6)
+        ends = [pi + (other_pi - pi) / 2.0**k for k in range(6)]  # halvings toward other_pi
         lower, upper = window._term_bounds(pi, ends)
         # the proofs need the bounds good to within their margin, on every
         # rung: the guarded Bayes step is monotone also at a zero likelihood
@@ -894,7 +875,7 @@ class TestCertifiedIntervals:
         for end, rung_lower, rung_upper in zip(ends, lower, upper):
             lo, hi = sorted((pi, end))
             for belief in [lo, hi] + [min(hi, lo + f * (hi - lo)) for f in fractions]:
-                terms = _receiver_terms(window, belief)
+                terms = window._receiver_terms(belief)
                 assert np.all(rung_lower - margin <= terms)
                 assert np.all(terms <= rung_upper + margin)
 
@@ -913,25 +894,23 @@ class TestCertifiedIntervals:
             assert rung_upper.tobytes() == alone_upper[0].tobytes()
 
     @settings(max_examples=40, deadline=None)
-    @given(random_windows(), beliefs)
-    def test_ladder_takes_its_first_rung_proven_alone(self, drawn, other_pi):
-        # the certifier proves a ladder a group of rungs at a time; the rung
-        # it takes is the first that a ladder of that rung alone proves
+    @given(random_windows(), st.data())
+    def test_ladder_takes_its_first_rung_proven_alone(self, drawn, data):
+        # ``prove`` walks each ladder a group of rungs at a time; it proves,
+        # and tallies, the rungs that it would with one rung per walk
         scenario, pi, state, _ = drawn
+        lo, hi = data.draw(st.floats(0.0, pi)), data.draw(st.floats(pi, 1.0))
         window = _WindowScan(scenario, state)
         spreads, choice, _, _, _ = window.scan(pi)
-        first_proven = window.certifier(spreads, choice, pi)
-        if first_proven is None:
-            return  # a value difference is within the margin at pi: no proof is tried
-        ladder = _ladder(pi, other_pi, 3 * equilibrium._RUNGS_PER_WALK)
-        alone = [first_proven([end]) == 0 for end in ladder]
-        assert first_proven(ladder) == (alone.index(True) if any(alone) else None)
+        grouped = window.prove(spreads, choice, pi, lo, hi)
+        with mock.patch.object(equilibrium, "_RUNGS_PER_WALK", 1):
+            assert window.prove(spreads, choice, pi, lo, hi) == grouped
 
     @settings(max_examples=40, deadline=None)
     @given(random_windows())
     def test_cells_without_difference_have_equal_terms(self, drawn):
         # ``_cells`` calls two cells tied when their inputs are equal or both
-        # are dead; the certifier then adds exactly 0, which holds at any belief
+        # are dead; a proof then adds exactly 0, which holds at any belief
         scenario, pi, state, rng = drawn
         window = _WindowScan(scenario, state)
         nb, _, nr = window.shape
@@ -941,7 +920,7 @@ class TestCertifiedIntervals:
         x, y, differ = window._cells(ib, im, rng.integers(nr, size=64), rng.integers(nr, size=64))
         x, y = x[~differ], y[~differ]
         for belief in (0.0, 1.0, pi):
-            terms = _receiver_terms(window, belief)
+            terms = window._receiver_terms(belief)
             assert np.all(terms[window.dead] == 0.0)  # zeros of either sign
             assert np.all(terms.ravel()[x] == terms.ravel()[y])
 
@@ -968,8 +947,8 @@ class TestCertifiedIntervals:
 
     @settings(max_examples=40, deadline=None)
     @given(random_windows())
-    def test_certifier_refills_only_rows_ahead(self, drawn):
-        # the certifier fills again, in ascending order, the rows that hold a
+    def test_prove_refills_only_rows_ahead(self, drawn):
+        # ``prove`` fills again, in ascending order, the rows that hold a
         # profile ahead of the choice, and the choice's own: no other row
         scenario, pi, state, _ = drawn
         window = _WindowScan(scenario, state)
@@ -977,7 +956,7 @@ class TestCertifiedIntervals:
         read = []
         refills = counting_blocks(window._blocks, read, np.ndarray.tolist)
         with mock.patch.object(window, "_blocks", refills):
-            window.certifier(spreads, choice, pi)
+            window.prove(spreads, choice, pi, pi, pi)
         reference = _ahead_reference(window, *choice)
         held = set(np.flatnonzero(reference.any(axis=(1, 2))).tolist())
         assert [row for rows in read for row in rows] == sorted(held | {choice[0]})
@@ -993,7 +972,7 @@ class TestCertifiedIntervals:
         tied = (x != y) & ~differ
         assert tied.any()
         for belief in (0.0, 0.3, 1.0):
-            terms = _receiver_terms(window, belief).ravel()
+            terms = window._receiver_terms(belief).ravel()
             assert np.all(terms[x[tied]] == terms[y[tied]])
 
     @settings(max_examples=40, deadline=None)

@@ -52,6 +52,24 @@ def inline_pool(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def refused(monkeypatch):
+    """Check that ``run_batch(*args, **kwargs)`` raises ValueError(message)
+    before it runs any chunk of episodes."""
+
+    def chunk(args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(simulate, "_run_chunk", chunk)
+
+    def check(message, *args, **kwargs):
+        with pytest.raises(ValueError) as info:
+            run_batch(*args, **kwargs)
+        assert str(info.value) == message
+
+    return check
+
+
 class TestRunEpisode:
     def test_length_and_fields(self, short_table1, episode):
         n = short_table1.episode_length
@@ -391,28 +409,18 @@ class TestRunBatch:
         work = " ".join(f"{key}={n}" for key, n in expected.items())
         assert record.getMessage() == f"5 episodes, {workers} policies: {work}"
 
-    def test_rejects_empty_batch(self, short_table1):
-        with pytest.raises(ValueError):
-            run_batch(short_table1, 0, base_seed=1)
+    def test_rejects_empty_batch(self, short_table1, refused):
+        refused("n_episodes must be >= 1, got 0", short_table1, 0, base_seed=1)
 
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_checked_before_any_episode(self, short_table1, monkeypatch, workers):
-        def no_episodes(args):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
-        with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
-            run_batch(short_table1, 3, base_seed=1, workers=workers)
+    def test_workers_checked_before_any_episode(self, short_table1, refused, workers):
+        message = f"workers must be >= 1, got {workers}"
+        refused(message, short_table1, 3, base_seed=1, workers=workers)
 
     @pytest.mark.parametrize("base_seed", [-1, 2**64])
-    def test_base_seed_checked_before_any_episode(self, short_table1, monkeypatch, base_seed):
+    def test_base_seed_checked_before_any_episode(self, short_table1, refused, base_seed):
         # derive_episode_seed masks to 64 bits, so 2**64 would replay seed 0
-        def no_episodes(args):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
-        with pytest.raises(ValueError, match="^base seed must fit in an unsigned 64-bit integer$"):
-            run_batch(short_table1, 3, base_seed)
+        refused("base seed must fit in an unsigned 64-bit integer", short_table1, 3, base_seed)
 
     def test_largest_base_seed_runs(self, short_table1):
         summary, trajectories = run_batch(short_table1, 3, 2**64 - 1)
@@ -435,24 +443,21 @@ class TestRunBatch:
 
     @pytest.mark.parametrize(
         "window, message",
-        [(0, "window must be >= 1, got 0"), (80, "80 steps is too short for window 80")],
+        [
+            (0, "window must be >= 1, got 0"),
+            pytest.param(
+                80,
+                "trajectory of 80 steps is too short for window 80: needs at least 81",
+                id="80-80 steps is too short for window 80",
+            ),
+        ],
     )
-    def test_window_checked_before_any_episode(self, short_table1, monkeypatch, window, message):
-        def no_episodes(args):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
-        with pytest.raises(ValueError, match=message):
-            run_batch(short_table1, 3, base_seed=1, window=window)
+    def test_window_checked_before_any_episode(self, short_table1, refused, window, message):
+        refused(message, short_table1, 3, base_seed=1, window=window)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 1.0, 5.0])
-    def test_tol_checked_before_any_episode(self, short_table1, monkeypatch, tol):
-        def no_episodes(args):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(simulate, "_run_chunk", no_episodes)
-        with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, 1), got {tol!r}")):
-            run_batch(short_table1, 3, base_seed=1, tol=tol)
+    def test_tol_checked_before_any_episode(self, short_table1, refused, tol):
+        refused(f"tol must lie in (0, 1), got {tol!r}", short_table1, 3, base_seed=1, tol=tol)
 
     def test_later_chunk_failure_recorded_at_its_index(self, table1, inline_pool, monkeypatch):
         # 7 episodes over 3 workers run inline as chunks of 2, 2 and 3, so
