@@ -7,6 +7,7 @@ import argparse
 import json
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 
 from .beliefs import BeliefState
@@ -206,7 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (OSError, ValueError, MemoryError) as err:  # a ScenarioFormatError is a ValueError
+    # a ScenarioFormatError is a ValueError; a batch worker that died ends
+    # its pool as BrokenProcessPool
+    except (OSError, ValueError, MemoryError, BrokenProcessPool) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

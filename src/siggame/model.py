@@ -92,8 +92,8 @@ class UtilityTables:
     """Instantaneous utilities.
 
     ``sender`` is keyed by (true type, state, action, reaction) and
-    ``receiver`` by (hypothesized type, state, action, reaction). Both must
-    cover the full product of their alphabets with finite values.
+    ``receiver`` by (hypothesized type, state, action, reaction). Each must
+    cover exactly the product of the alphabets, with finite values.
     """
 
     sender: dict[tuple[str, str, str, str], float]
@@ -104,21 +104,27 @@ class UtilityTables:
         object.__setattr__(self, "receiver", {tuple(k): float(v) for k, v in self.receiver.items()})
 
     def validate(self, alphabets: Alphabets) -> None:
+        expected = dict.fromkeys(
+            itertools.product(TYPES, alphabets.states, alphabets.actions, alphabets.reactions)
+        )
         for name, table in (("sender", self.sender), ("receiver", self.receiver)):
-            for key in itertools.product(
-                TYPES, alphabets.states, alphabets.actions, alphabets.reactions
-            ):
+            for key in expected:
                 if key not in table:
                     raise ValueError(f"{name} utility missing entry for {key}")
                 if not math.isfinite(table[key]):
                     raise ValueError(f"{name} utility not finite at {key}: {table[key]}")
+            # every expected key is present, so any further key is a stray
+            if len(table) > len(expected):
+                stray = next(key for key in table if key not in expected)
+                raise ValueError(f"{name} utility {stray} uses labels outside the alphabets")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Complete game description, checked when it is built: a kernel that is
     not a valid stochastic kernel over its own alphabets (``validate_kernel``),
-    or utilities that do not cover them with finite values, raise ValueError.
+    or utilities that do not cover exactly those alphabets with finite values,
+    raise ValueError.
 
     ``prior`` is the initial probability assigned to the malicious type.
     ``horizon`` is the lookahead window of the receding-horizon solve;

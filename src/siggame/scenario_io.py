@@ -27,7 +27,6 @@ import math
 import os
 import warnings
 from dataclasses import asdict
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
 
@@ -275,10 +274,9 @@ def resolve_config_path(name_or_path: str) -> Path:
     if candidate.exists():
         return candidate
     stem = name_or_path if name_or_path.endswith(".json") else name_or_path + ".json"
-    bundled = resources.files("siggame").joinpath("configs", stem)
+    bundled = Path(__file__).parent / "configs" / stem
     if bundled.is_file():
-        with resources.as_file(bundled) as real:
-            return Path(real)
+        return bundled
     raise FileNotFoundError(f"no such config file or bundled scenario: {name_or_path!r}")
 
 

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest -s tests/test_acceptance.py`` to watch the lines appear.
-Every test pins its stated tolerance and runtime budget and asserts them.
+Run with ``pytest -s tests/test_acceptance.py`` to watch the lines appear
+(``-rP`` shows them after the run). Every test ends in one ``_report`` call,
+which prints the line from the criterion's named checks and runtime budget
+and then asserts the same checks.
 
 Criterion 4 is checked against the model's own prediction. It was first
 stated as "at least 90 of 100 hundred-step ``table1`` episodes reach
@@ -44,7 +46,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import siggame
 from conftest import brute_force_solve, build_binary_scenario
@@ -64,9 +65,18 @@ TABLE1_ROWS = {
 }
 
 
-def _report(number: int, name: str, passed: bool, detail: str) -> None:
-    verdict = "PASS" if passed else "FAIL"
-    print(f"[criterion {number}] {name}: {verdict} ({detail})")
+def _report(number: int, name: str, start: float, budget: float, detail: str, **checks) -> None:
+    """Print criterion ``number``'s verdict, then assert it.
+
+    The verdict is PASS when every named check holds and the time since
+    ``start`` is under ``budget`` seconds; the assertion names each check
+    that failed, the budget as ``runtime``.
+    """
+    elapsed = time.perf_counter() - start
+    checks["runtime"] = elapsed < budget
+    failed = [check for check, ok in checks.items() if not ok]
+    print(f"[criterion {number}] {name}: {'FAIL' if failed else 'PASS'} ({detail}, {elapsed:.2f}s)")
+    assert not failed, f"criterion {number} failed {failed}: {detail}"
 
 
 def test_criterion_1_bayes_update_exactness():
@@ -85,11 +95,10 @@ def test_criterion_1_bayes_update_exactness():
                 got = posterior_malicious(pi, p_b, p_m)
                 worst = max(worst, abs(got - exact))
                 checked += 1
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-12 and elapsed < 1.0
-    _report(1, "Bayes-update exactness", passed, f"{checked} grid points, max err {worst:.2e}, {elapsed:.2f}s")
-    assert worst <= 1e-12
-    assert elapsed < 1.0
+    _report(
+        1, "Bayes-update exactness", start, 1.0, f"{checked} grid points, max err {worst:.2e}",
+        exact=worst <= 1e-12,
+    )
 
 
 def test_criterion_2_exact_submartingale_margins(table1):
@@ -114,18 +123,17 @@ def test_criterion_2_exact_submartingale_margins(table1):
             for pi in beliefs:
                 worst = min(worst, submartingale_margin(table1, roots, state, pi))
                 checked += 1
-    elapsed = time.perf_counter() - start
-    passed = worst >= -1e-12 and elapsed < 10.0 and checked == 144
-    _report(2, "one-step belief drift never negative", passed, f"{checked} margins, min {worst:.3e}, {elapsed:.2f}s")
-    assert checked == 144  # 8 root triples x 2 states x 9 beliefs
-    assert worst >= -1e-12
-    assert elapsed < 10.0
+    _report(
+        2, "one-step belief drift never negative", start, 10.0,
+        f"{checked} margins, min {worst:.3e}",
+        all_margins=checked == 144,  # 8 root triples x 2 states x 9 beliefs
+        nonnegative=worst >= -1e-12,
+    )
 
 
 def test_criterion_3_equilibrium_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(424242)
-    agreements = 0
     existence = {"eq": 0, "none": 0}
     for _ in range(100):
         draws = {}
@@ -153,12 +161,7 @@ def test_criterion_3_equilibrium_oracle_equivalence():
             assert err.fallback_profile == fallback
             assert err.fallback_regret == max(gains)
         assert got == expected
-        agreements += 1
-    elapsed = time.perf_counter() - start
-    passed = agreements == 100 and elapsed < 5.0
-    _report(3, "equilibrium oracle equivalence", passed, f"100/100 agree ({existence}), {elapsed:.2f}s")
-    assert agreements == 100
-    assert elapsed < 5.0
+    _report(3, "equilibrium oracle equivalence", start, 5.0, f"100/100 agree ({existence})")
 
 
 AGREEMENT_BY_STEP = 60
@@ -295,21 +298,13 @@ def test_criterion_4_agreement_regime(table1):
     idealized = {x: ([0.0, pool_from, *e[2:]], pres) for x, (e, pres) in regions.items()}
     ceiling, _ = _exact_agreement_probability(scenario, idealized, AGREEMENT_BY_STEP)
     lo, hi = _binomial_region(100, p, BINOMIAL_TAIL)
-    elapsed = time.perf_counter() - start
-    passed = lo <= good <= hi and elapsed < 60.0
     _report(
-        4,
-        "fast-kernel agreement regime",
-        passed,
+        4, "fast-kernel agreement regime", start, 60.0,
         f"{good}/100 episodes with sustained agreement by step {AGREEMENT_BY_STEP}; "
-        f"model {100 * p:.1f}/100, region [{lo}, {hi}]; "
-        f"original target 90/100 against ceiling P = {ceiling:.4f}, {elapsed:.1f}s",
-    )
-    assert p == pytest.approx(0.633097, abs=1e-6)
-    assert elapsed < 60.0
-    assert lo <= good <= hi, (
-        f"{good}/100 episodes reached sustained agreement by step {AGREEMENT_BY_STEP}; "
-        f"the model predicts {100 * p:.2f} with tails <= {BINOMIAL_TAIL} outside [{lo}, {hi}]"
+        f"model P = {p:.6f}, region [{lo}, {hi}] with tails <= {BINOMIAL_TAIL}; "
+        f"original target 90/100 against ceiling P = {ceiling:.4f}",
+        pinned_p=abs(p - 0.633097) <= 1e-6,
+        in_region=lo <= good <= hi,
     )
 
 
@@ -321,28 +316,22 @@ def test_criterion_5_slow_kernel_orders_agreement(table1, table4):
         # order-completion: episodes that never sustain agreement sort last
         steps = [s if s is not None else math.inf for s in summary.agreement_steps]
         medians[name] = statistics.median(steps)
-    elapsed = time.perf_counter() - start
-    passed = medians["table4"] > medians["table1"] and elapsed < 180.0
     _report(
-        5,
-        "harder detection delays agreement",
-        passed,
-        f"median sustained-agreement step {medians['table1']} vs {medians['table4']}, {elapsed:.1f}s",
+        5, "harder detection delays agreement", start, 180.0,
+        f"median sustained-agreement step {medians['table1']} vs {medians['table4']}",
+        table4_later=medians["table4"] > medians["table1"],
+        table1_agrees=medians["table1"] < math.inf,
     )
-    assert medians["table4"] > medians["table1"]
-    assert medians["table1"] < math.inf
-    assert elapsed < 180.0
 
 
 def test_criterion_6_no_oscillation(table1):
     start = time.perf_counter()
     summary, _ = run_batch(table1, 200, base_seed=table1.base_seed)
     quiet = sum(1 for osc in summary.oscillations if osc is not None and osc < 0.05)
-    elapsed = time.perf_counter() - start
-    passed = quiet >= 190 and elapsed < 120.0
-    _report(6, "trailing beliefs settle", passed, f"{quiet}/200 quiet tails, {elapsed:.1f}s")
-    assert quiet >= 190
-    assert elapsed < 120.0
+    _report(
+        6, "trailing beliefs settle", start, 120.0, f"{quiet}/200 quiet tails",
+        quiet=quiet >= 190,
+    )
 
 
 def test_criterion_7_random_walk_formula():
@@ -357,12 +346,11 @@ def test_criterion_7_random_walk_formula():
                     exceeds &= out == pi0
                 else:
                     exceeds &= out > pi0
-    elapsed = time.perf_counter() - start
-    passed = abs(value - 0.1290323) <= 1e-6 and exceeds and elapsed < 1.0
-    _report(7, "balanced-walk belief formula", passed, f"value {value:.7f}, grid ok={exceeds}, {elapsed:.2f}s")
-    assert value == pytest.approx(0.1290323, abs=1e-6)
-    assert exceeds
-    assert elapsed < 1.0
+    _report(
+        7, "balanced-walk belief formula", start, 1.0, f"value {value:.7f}, grid ok={exceeds}",
+        value=abs(value - 0.1290323) <= 1e-6,
+        exceeds=exceeds,
+    )
 
 
 def test_criterion_8_kl_rate_value_and_nonnegativity():
@@ -374,12 +362,11 @@ def test_criterion_8_kl_rate_value_and_nonnegativity():
         p = rng.random(4) + 1e-12
         q = rng.random(4) + 1e-12
         nonneg &= kl_decay_estimate(tuple(p / p.sum()), tuple(q / q.sum())) >= 0.0
-    elapsed = time.perf_counter() - start
-    passed = abs(value - 0.0444028) <= 1e-6 and nonneg and elapsed < 1.0
-    _report(8, "divergence rate estimate", passed, f"value {value:.7f}, nonneg={nonneg}, {elapsed:.2f}s")
-    assert value == pytest.approx(0.0444028, abs=1e-6)
-    assert nonneg
-    assert elapsed < 1.0
+    _report(
+        8, "divergence rate estimate", start, 1.0, f"value {value:.7f}, nonneg={nonneg}",
+        value=abs(value - 0.0444028) <= 1e-6,
+        nonneg=nonneg,
+    )
 
 
 def test_criterion_9_determinism(tmp_path):
@@ -408,14 +395,9 @@ def test_criterion_9_determinism(tmp_path):
         (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
         for name in ["episode_0000.csv", "episode_0003.csv", "summary.json"]
     ) and asdict(seq_summary) == asdict(par_summary)
-    elapsed = time.perf_counter() - start
-    passed = files_identical and batch_identical and elapsed < 30.0
     _report(
-        9,
-        "bit-reproducible outputs",
-        passed,
-        f"rerun identical={files_identical}, parallel identical={batch_identical}, {elapsed:.1f}s",
+        9, "bit-reproducible outputs", start, 30.0,
+        f"rerun identical={files_identical}, parallel identical={batch_identical}",
+        files_identical=files_identical,
+        batch_identical=batch_identical,
     )
-    assert files_identical
-    assert batch_identical
-    assert elapsed < 30.0

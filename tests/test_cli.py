@@ -3,6 +3,7 @@ import json
 import shlex
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,23 @@ class TestBatchAndDiagnoseCommands:
         args = ["batch", "--config", table1_path, "--episodes", "3", "--steps", "40"]
         argv = [*args, flag, value, "--outdir", str(outdir)]
         assert _error_line(argv, capsys) == f"error: {message}"
+        assert not outdir.exists()
+
+    def test_dead_batch_worker_is_one_error_line(self, table1_path, tmp_path, capsys, monkeypatch):
+        # what the pool raises when a worker process exits mid-chunk; the
+        # stand-in raises it without starting any process
+        message = (
+            "A process in the process pool was terminated abruptly "
+            "while the future was running or pending."
+        )
+
+        def run_batch(*args, **kwargs):
+            raise BrokenProcessPool(message)
+
+        monkeypatch.setattr("siggame.cli.run_batch", run_batch)
+        outdir = tmp_path / "batch"
+        argv = ["batch", "--config", table1_path, "--episodes", "4", "--workers", "2"]
+        assert _error_line([*argv, "--outdir", str(outdir)], capsys) == f"error: {message}"
         assert not outdir.exists()
 
     def test_batch_window_below_one_writes_nothing(self, table1_path, tmp_path, capsys):

@@ -171,6 +171,11 @@ class TestScenarioConstruction:
                 _edit_utility("receiver", ("benign", *NB), math.inf),
                 "receiver utility not finite at ('benign', ",
             ),
+            (
+                _edit_utility("sender", ("malicious", "x_n", "a_m", "r_typo"), 99.0),
+                "sender utility ('malicious', 'x_n', 'a_m', 'r_typo') uses labels outside the "
+                "alphabets",
+            ),
         ],
         ids=[
             "nan-entry",
@@ -185,6 +190,7 @@ class TestScenarioConstruction:
             "base-seed",
             "sender-utility-nan",
             "receiver-utility-inf",
+            "utility-outside-alphabets",
         ],
     )
     def test_defect_raises_naming_it(self, table1, edit, message):

@@ -2,10 +2,12 @@ import json
 import re
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import labelled_alphabets, random_scenario
 from siggame.model import BENIGN, MALICIOUS, TYPES, Scenario
 from siggame.scenario_io import (
     TRAJECTORY_COLUMNS,
@@ -60,6 +62,18 @@ class TestScenarioRoundTrip:
     def test_json_round_trip_of_serialized_doc(self, table4):
         doc = scenario_to_dict(table4)
         assert scenario_from_dict(json.loads(json.dumps(doc))) == table4
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+        horizon=st.sampled_from([1, 2]),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_json_round_trip_of_random_scenarios(self, shape, horizon, draw):
+        # unlike the bundled tables, these kernels depend on the reaction
+        scenario = random_scenario(labelled_alphabets(*shape), horizon, np.random.default_rng(draw))
+        doc = scenario_to_dict(scenario)
+        assert scenario_from_dict(json.loads(json.dumps(doc))) == scenario
 
     def test_absent_optional_keys_take_scenario_defaults(self, table1):
         doc = scenario_to_dict(replace(table1, horizon=3, episode_length=40, base_seed=9))
