@@ -65,7 +65,7 @@ from typing import Mapping
 import numpy as np
 
 from .beliefs import BeliefState, MIN_MIXTURE
-from .model import BENIGN, MALICIOUS, Alphabets, Scenario
+from .model import BENIGN, MALICIOUS, Scenario
 
 # Refuse exhaustive scans beyond this many joint profiles.
 JOINT_PROFILE_LIMIT = 10_000_000
@@ -217,74 +217,6 @@ def expected_utilities(
     return v_b, v_m, v_r
 
 
-class _Enumeration:
-    """Index-form tree sets plus per-path projections of one window.
-
-    History nodes are ordered by depth, then state order, with the root
-    first. Label sequences of length ``horizon`` are numbered in
-    ``itertools.product`` order. ``path_sequences`` holds two arrays,
-    indexed (state path, sender branch) and (state path, receiver branch), of
-    the number of the sequence each branch plays along that path. The horizon
-    is a Scenario's, so at least 1.
-    """
-
-    def __init__(self, alphabets: Alphabets, horizon: int):
-        ns, na, nr = len(alphabets.states), len(alphabets.actions), len(alphabets.reactions)
-        # base ** n_nodes profiles; n_nodes is exact below 64 and 64+ past it
-        base, n_nodes = na * na * nr, sum(ns**d for d in range(min(horizon, 64)))
-        if base ** min(n_nodes, 64) > JOINT_PROFILE_LIMIT:
-            total = base**n_nodes if n_nodes < 64 else f"at least {base}**64"
-            raise EnumerationLimitError(
-                f"{total} joint profiles exceed the exhaustive-scan limit of {JOINT_PROFILE_LIMIT}"
-            )
-        self.alphabets = alphabets
-        self.horizon = horizon
-        self.nodes = [n for d in range(horizon) for n in itertools.product(range(ns), repeat=d)]
-        self.label_nodes = [tuple(alphabets.states[i] for i in node) for node in self.nodes]
-        node_pos = {node: i for i, node in enumerate(self.nodes)}
-        n_nodes = len(self.nodes)
-        self.sender_branches = list(itertools.product(range(na), repeat=n_nodes))
-        self.receiver_branches = list(itertools.product(range(nr), repeat=n_nodes))
-        self.paths = list(itertools.product(range(ns), repeat=horizon - 1))
-
-        def digits(n_labels):
-            return np.array(list(itertools.product(range(n_labels), repeat=horizon)))
-
-        # step i's label in every sequence, shaped to broadcast over the
-        # (benign sequence, malicious sequence, reaction sequence) grid
-        steps_a, steps_r = digits(na), digits(nr)
-        self.grid_steps = [
-            (steps_a[:, i, None, None], steps_a[None, :, i, None], steps_r[None, None, :, i])
-            for i in range(horizon)
-        ]
-
-        path_pos = np.array([[node_pos[path[:i]] for i in range(horizon)] for path in self.paths])
-
-        def sequences(branches, n_labels):
-            place = n_labels ** np.arange(horizon - 1, -1, -1)
-            return np.ascontiguousarray((np.array(branches)[:, path_pos] @ place).T)
-
-        self.path_sequences = (
-            sequences(self.sender_branches, na),
-            sequences(self.receiver_branches, nr),
-        )
-
-    def tree(self, branch, labels) -> dict[tuple[str, ...], str]:
-        """Label-form node -> label map of one index branch."""
-        return {n: labels[i] for n, i in zip(self.label_nodes, branch)}
-
-    def profile(self, ib: int, im: int, ir: int) -> StrategyTree:
-        actions = self.alphabets.actions
-        return StrategyTree(
-            depth=self.horizon,
-            sender={
-                BENIGN: self.tree(self.sender_branches[ib], actions),
-                MALICIOUS: self.tree(self.sender_branches[im], actions),
-            },
-            receiver=self.tree(self.receiver_branches[ir], self.alphabets.reactions),
-        )
-
-
 class _WindowScan:
     """The window game at one root state, split at the belief.
 
@@ -305,12 +237,22 @@ class _WindowScan:
     rung ends, and ``_cells`` reads which grid cells tie off the tie table,
     ``_differs``, built once per window.
 
-    The constructor builds the window's ``enum`` and reads the scenario's
-    kernel rows and utility tables into index arrays, ``P[x, a, r, x']`` and
-    one (x, a, r) grid per utility table and type. The walk runs on grids
-    indexed by (state path, benign sequence, malicious sequence, reaction
-    sequence) and repeats the arithmetic of ``_path_terms`` op for op, in the
-    same order, on the same floats, so every entry equals that scalar oracle's
+    The constructor refuses a window of more than ``JOINT_PROFILE_LIMIT``
+    joint profiles before it builds anything; the horizon is a Scenario's, so
+    at least 1. It then lays out the trees. History nodes, ``label_nodes``,
+    are ordered by depth, then state order, with the root first; a branch
+    gives each node a label number, and ``sender_branches`` and
+    ``receiver_branches`` list the branches in ``itertools.product`` order,
+    which ``profile`` reads back into labels. Label sequences of length
+    ``horizon`` are numbered in ``itertools.product`` order too:
+    ``sequences`` holds two arrays, indexed (state path, sender branch) and
+    (state path, receiver branch), of the number of the sequence each branch
+    plays along that path. The constructor reads the scenario's kernel rows
+    and utility tables into index arrays, ``P[x, a, r, x']`` and one
+    (x, a, r) grid per utility table and type. The walk runs on grids indexed
+    by (state path, benign sequence, malicious sequence, reaction sequence)
+    and repeats the arithmetic of ``_path_terms`` op for op, in the same
+    order, on the same floats, so every entry equals that scalar oracle's
     value for the same profile bit for bit.
     The scalar walk's early return on a vanishing path needs no mask: both
     weights of a ``dead`` cell are zero, so its terms are zeros, which sums
@@ -322,26 +264,49 @@ class _WindowScan:
     """
 
     def __init__(self, scenario: Scenario, state: str):
-        al = scenario.alphabets
-        enum = self.enum = _Enumeration(al, scenario.horizon)
+        al, T = scenario.alphabets, scenario.horizon
+        ns, na, nr = len(al.states), len(al.actions), len(al.reactions)
+        # base ** n_nodes profiles; n_nodes is exact below 64 and 64+ past it
+        base, n_nodes = na * na * nr, sum(ns**d for d in range(min(T, 64)))
+        if base ** min(n_nodes, 64) > JOINT_PROFILE_LIMIT:
+            total = base**n_nodes if n_nodes < 64 else f"at least {base}**64"
+            raise EnumerationLimitError(
+                f"{total} joint profiles exceed the exhaustive-scan limit of {JOINT_PROFILE_LIMIT}"
+            )
+        self.alphabets, self.horizon = al, T
+        nodes = [n for d in range(T) for n in itertools.product(range(ns), repeat=d)]
+        self.label_nodes = [tuple(al.states[i] for i in node) for node in nodes]
+        node_pos = {node: i for i, node in enumerate(nodes)}
+        self.sender_branches = list(itertools.product(range(na), repeat=len(nodes)))
+        self.receiver_branches = list(itertools.product(range(nr), repeat=len(nodes)))
+        nb = len(self.sender_branches)
+        self.shape = (nb, nb, len(self.receiver_branches))
+        paths = list(itertools.product(range(ns), repeat=T - 1))
+        path_pos = np.array([[node_pos[path[:i]] for i in range(T)] for path in paths])
+
+        def sequences(branches, n_labels):
+            place = n_labels ** np.arange(T - 1, -1, -1)
+            return np.ascontiguousarray((np.array(branches)[:, path_pos] @ place).T)
+
+        self.sequences = (
+            sequences(self.sender_branches, na),
+            sequences(self.receiver_branches, nr),
+        )
         keys = list(itertools.product(al.states, al.actions, al.reactions))
-        shape = (len(al.states), len(al.actions), len(al.reactions))
-        P = np.array([scenario.kernel.row(*key) for key in keys]).reshape(*shape, -1)
+        P = np.array([scenario.kernel.row(*key) for key in keys]).reshape(ns, na, nr, -1)
         US_b, US_m, UR_b, UR_m = (
-            np.array([table[(t, *key)] for key in keys]).reshape(shape)
+            np.array([table[(t, *key)] for key in keys]).reshape(ns, na, nr)
             for table in (scenario.utilities.sender, scenario.utilities.receiver)
             for t in (BENIGN, MALICIOUS)
         )
-        T = self.horizon = scenario.horizon
-        nb, nr = len(enum.sender_branches), len(enum.receiver_branches)
-        self.shape = (nb, nb, nr)
-        self.sequences = enum.path_sequences
-        # the state at each step of each path, shaped to broadcast over the
-        # (path, benign sequence, malicious sequence, reaction sequence) grid
+        # the state at each step of each path, and the digits of every action
+        # and every reaction sequence, one row per step
         x0 = al.state_index(state)
-        states = np.array([(x0, *path) for path in enum.paths])[:, :, None, None, None]
-        n_a, n_r = len(al.actions) ** T, len(al.reactions) ** T
-        grid = (len(enum.paths), n_a, n_a, n_r)
+        states = np.array([(x0, *path) for path in paths])[:, :, None, None, None]
+        digits_a, digits_r = (
+            np.array(list(itertools.product(range(n), repeat=T))).T for n in (na, nr)
+        )
+        grid = (len(paths), na**T, na**T, nr**T)
 
         def grid_of(a):
             # same-shape operands make the per-belief walk's numpy calls cheaper
@@ -352,8 +317,11 @@ class _WindowScan:
         w_b = w_m = 1.0
         u_b = u_m = 0.0
         self.steps = []
-        for i, (a_b, a_m, r) in enumerate(enum.grid_steps):
+        for i in range(T):
+            # step i's state and labels, shaped to broadcast over the (path,
+            # benign sequence, malicious sequence, reaction sequence) grid
             x = states[:, i]
+            a_b, a_m, r = digits_a[i, :, None, None], digits_a[i, None, :, None], digits_r[i]
             u_b = u_b + US_b[x, a_b, r]
             u_m = u_m + US_m[x, a_m, r]
             bayes = None
@@ -369,8 +337,8 @@ class _WindowScan:
         self.dead = (self.w_b == 0.0) & (self.w_m == 0.0)
         t_b = w_b * (u_b / T)
         t_m = w_m * (u_m / T)
-        self.V_b = np.zeros((nb, nr))
-        self.V_m = np.zeros((nb, nr))
+        self.V_b = np.zeros(self.shape[1:])
+        self.V_m = np.zeros(self.shape[1:])
         for p, (seq_s, seq_r) in enumerate(zip(*self.sequences)):
             self.V_b += t_b[p, :, 0].take(seq_s, 0).take(seq_r, 1)
             self.V_m += t_m[p, 0].take(seq_s, 0).take(seq_r, 1)
@@ -378,6 +346,23 @@ class _WindowScan:
         self.gain_m = self.V_m.max(axis=0) - self.V_m
         self.row_bounds = self.gain_b.min(axis=1)
         self.row_order = np.argsort(self.row_bounds, kind="stable")
+
+    def profile(self, ib: int, im: int, ir: int) -> StrategyTree:
+        """The joint profile of benign branch ``ib``, malicious branch ``im``
+        and receiver branch ``ir``, in label form."""
+
+        def tree(branch, labels):
+            return {n: labels[i] for n, i in zip(self.label_nodes, branch)}
+
+        actions = self.alphabets.actions
+        return StrategyTree(
+            depth=self.horizon,
+            sender={
+                BENIGN: tree(self.sender_branches[ib], actions),
+                MALICIOUS: tree(self.sender_branches[im], actions),
+            },
+            receiver=tree(self.receiver_branches[ir], self.alphabets.reactions),
+        )
 
     def _walk(self, beta):
         """Run the belief walk from ``beta``, a float or an array that
@@ -710,7 +695,7 @@ def solve_bne(scenario: Scenario, belief: BeliefState, x_now: str) -> Equilibriu
     """
     window = _WindowScan(scenario, x_now)
     _, (ib, im, ir), value, least, zeros = window.scan(belief.pi_m)
-    profile = window.enum.profile(ib, im, ir)
+    profile = window.profile(ib, im, ir)
     if least > 0.0:
         raise NoPureEquilibriumError(
             f"no pure mutual best response among {math.prod(window.shape)} joint profiles "
@@ -812,7 +797,7 @@ class RecedingHorizonPolicy:
         window, counts = table.window, self.counts
         spreads, choice, _, least, _ = window.scan(pi_m)
         counts["scans"] += 1
-        entry = (window.enum.profile(*choice).root_prescriptions(), least)
+        entry = (window.profile(*choice).root_prescriptions(), least)
         if pi_m in (0.0, 1.0):
             ends = (pi_m, pi_m)
         else:

@@ -175,12 +175,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     axes = ("states", "actions", "reactions")
     labels = [
-        tuple(_as(list, node, f"alphabets.{key}"))
+        tuple(_as(str, label, f"alphabets.{key}") for label in _as(list, node, f"alphabets.{key}"))
         for key, node in zip(axes, _fields(alpha_doc, "alphabets", axes))
     ]
     try:
         alphabets = Alphabets(*labels)
-    except (TypeError, ValueError) as err:  # unhashable, empty or duplicate labels
+    except ValueError as err:  # empty or duplicate labels
         raise ScenarioFormatError(f"alphabets: {err}") from err
     kernel = _parse_kernel(kernel_doc, alphabets)
     utilities = _parse_utilities(util_doc, alphabets)

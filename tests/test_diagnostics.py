@@ -86,15 +86,6 @@ class TestSubmartingaleMargin:
             submartingale_margin(scenario, ("a_b", "a_m", "r_b"), "x_n", 1e-300)
         assert submartingale_margin(scenario, ("a_b", "a_m", "r_b"), "x_n", 1e-3) >= 0.0
 
-    def test_exhaustive_nonnegative_on_every_state(self, table1):
-        """Every root triple, state and belief grid point keeps a nonnegative
-        margin (exact enumeration)."""
-        al = table1.alphabets
-        for roots in itertools.product(al.actions, al.actions, al.reactions):
-            for state in al.states:
-                for belief in [i / 10 for i in range(1, 10)]:
-                    assert submartingale_margin(table1, roots, state, belief) >= -1e-12
-
     def test_unknown_action_names_the_missing_kernel_row(self, table1):
         message = re.escape("kernel has no row for (x='x_n', a='a_x', r='r_b')")
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -21,7 +21,6 @@ from siggame.equilibrium import (
     NoPureEquilibriumError,
     RecedingHorizonPolicy,
     StrategyTree,
-    _Enumeration,
     _RegionTable,
     _WindowScan,
     expected_utilities,
@@ -45,57 +44,57 @@ def one_step_profile(action_b, action_m, reaction):
 
 
 class TestEnumeration:
-    def test_counts_depth_one(self):
-        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
-        enum = _Enumeration(al, 1)
-        assert len(enum.sender_branches) == 2
-        assert len(enum.receiver_branches) == 2
+    """The window's tree layout, read off ``_WindowScan``."""
 
-    def test_counts_depth_two(self):
-        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
-        enum = _Enumeration(al, 2)
+    def test_counts_depth_one(self, table1):
+        window = _WindowScan(_with_horizon(table1, 1), "x_n")
+        assert len(window.sender_branches) == 2
+        assert len(window.receiver_branches) == 2
+
+    def test_counts_depth_two(self, table1):
+        window = _WindowScan(_with_horizon(table1, 2), "x_n")
         # 3 nodes (root plus one per state), binary labels
-        assert len(enum.sender_branches) == 8
-        assert len(enum.receiver_branches) == 8
-        assert len(set(enum.receiver_branches)) == 8
+        assert len(window.sender_branches) == 8
+        assert len(window.receiver_branches) == 8
+        assert len(set(window.receiver_branches)) == 8
 
-    def test_branch_node_counts(self):
-        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
+    def test_branch_node_counts(self, table1):
         for horizon in (1, 2, 3):
-            enum = _Enumeration(al, horizon)
+            scenario = _with_horizon(table1, horizon)
+            window = _WindowScan(scenario, "x_n")
             expected_nodes = sum(2**d for d in range(horizon))
-            trees = ((enum.sender_branches, al.actions), (enum.receiver_branches, al.reactions))
-            for branches, labels in trees:
-                assert all(len(enum.tree(b, labels)) == expected_nodes for b in branches)
-            n_sender, n_receiver = len(enum.sender_branches), len(enum.receiver_branches)
-            assert joint_profile_count(al, horizon) == n_sender**2 * n_receiver
+            nb, _, nr = window.shape
+            assert (nb, nr) == (len(window.sender_branches), len(window.receiver_branches))
+            # every sender branch and every receiver branch as a tree
+            trees = [window.profile(b, b, 0).sender[BENIGN] for b in range(nb)]
+            trees += [window.profile(0, 0, r).receiver for r in range(nr)]
+            assert all(len(tree) == expected_nodes for tree in trees)
+            assert joint_profile_count(scenario.alphabets, horizon) == nb**2 * nr
 
-    def test_combinatorial_guard(self):
-        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
-        assert joint_profile_count(al, 12) > 10**7
+    def test_combinatorial_guard(self, table1):
+        assert joint_profile_count(table1.alphabets, 12) > 10**7
         with pytest.raises(EnumerationLimitError, match="exceed"):
-            _Enumeration(al, 12)
+            _WindowScan(_with_horizon(table1, 12), "x_n")
 
     @pytest.mark.parametrize("horizon", [13, 20, 10**9])
-    def test_oversized_window_refused_from_its_node_count(self, horizon):
+    def test_oversized_window_refused_from_its_node_count(self, table1, horizon):
         # from horizon 13 on the count has more digits than Python formats
         # by default; the guard builds and prints it only below 64 nodes
-        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
         with pytest.raises(
             EnumerationLimitError,
             match=r"^at least 8\*\*64 joint profiles exceed the exhaustive-scan limit of 10000000$",
         ):
-            _Enumeration(al, horizon)
+            _WindowScan(_with_horizon(table1, horizon), "x_n")
 
-    def test_exact_count_printed_below_64_nodes(self):
-        al = Alphabets(states=("x_n", "x_a"), actions=("a_b", "a_m"), reactions=("r_b", "r_m"))
+    def test_exact_count_printed_below_64_nodes(self, table1):
         with pytest.raises(EnumerationLimitError, match=f"^{8**15} joint profiles exceed"):
-            _Enumeration(al, 4)
+            _WindowScan(_with_horizon(table1, 4), "x_n")
 
     def test_single_labels_are_never_refused(self):
         # one joint profile however deep the window
-        enum = _Enumeration(Alphabets(states=("x",), actions=("a",), reactions=("r",)), 70)
-        assert len(enum.sender_branches) == len(enum.receiver_branches) == 1
+        scenario = random_scenario(labelled_alphabets(1, 1, 1), 70, np.random.default_rng(0))
+        window = _WindowScan(scenario, "x0")
+        assert len(window.sender_branches) == len(window.receiver_branches) == 1
 
 
 class TestExpectedUtilities:
@@ -324,7 +323,6 @@ class TestValueMatricesAgainstOracle:
     def test_entries_equal_oracle(self, drawn, other_pi):
         scenario, pi, state, rng = drawn
         window = _WindowScan(scenario, state)
-        enum = window.enum
         nb, nr = window.V_b.shape
         picks = [(0, 0, 0), (nb - 1, nb - 1, nr - 1)] + [
             (int(rng.integers(nb)), int(rng.integers(nb)), int(rng.integers(nr))) for _ in range(12)
@@ -337,7 +335,7 @@ class TestValueMatricesAgainstOracle:
             assert value == V_r[choice]
             for ib, im, ir in picks:
                 oracle = expected_utilities(
-                    scenario, enum.profile(ib, im, ir), BeliefState(belief), state
+                    scenario, window.profile(ib, im, ir), BeliefState(belief), state
                 )
                 assert (window.V_b[ib, ir], window.V_m[im, ir], V_r[ib, im, ir]) == oracle
         # the reused object has scanned two beliefs; a fresh one agrees at the
@@ -736,7 +734,7 @@ def _fresh_scan_roots(scenario):
         if state not in windows:
             windows[state] = _WindowScan(scenario, state)
         _, choice, _, _, _ = windows[state].scan(pi)
-        return windows[state].enum.profile(*choice).root_prescriptions()
+        return windows[state].profile(*choice).root_prescriptions()
 
     return roots
 

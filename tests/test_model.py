@@ -156,7 +156,7 @@ class TestScenarioConstruction:
             (_edit_row(NB, (1.0,)), f"row {NB} has 1 entries"),
             (_edit_row(("x_q", "a_b", "r_b"), (0.9, 0.1)), "row ('x_q', 'a_b', 'r_b') uses labels"),
             (_edit_row(("x_a", "a_m", "r_m"), None), "no row for ('x_a', 'a_m', 'r_m')"),
-            # _Enumeration takes its horizon from a Scenario and relies on this
+            # _WindowScan takes its horizon from a Scenario and relies on this
             (lambda fields: fields.update(horizon=0), "horizon must be >= 1, got 0"),
             (lambda fields: fields.update(initial_state="x_q"), "initial state 'x_q' not in"),
             (lambda fields: fields.update(prior=1.5), "prior must lie in [0, 1], got 1.5"),

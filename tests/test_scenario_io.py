@@ -126,6 +126,8 @@ class TestScenarioErrors:
             ("seed", lambda doc: doc.update(seed="12")),
             ("prior", lambda doc: doc.update(prior="0.1")),
             ("alphabets.reactions", lambda doc: doc["alphabets"].update(reactions="rs")),
+            # a label is a string, as every key that names it in the document
+            ("alphabets.reactions", lambda doc: doc["alphabets"].update(reactions=[1, 2])),
             (
                 "kernel.reaction_independent",
                 lambda doc: doc["kernel"].update(reaction_independent="false"),
@@ -157,6 +159,7 @@ class TestScenarioErrors:
             "seed-string",
             "prior-string",
             "reactions-string",
+            "reaction-labels-int",
             "reaction-independent-string",
             "row-entry-bool",
             "prior-too-large",
